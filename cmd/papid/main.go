@@ -65,12 +65,11 @@ func main() {
 	shards := flag.Int("shards", 16, "session-registry shard count")
 	cacheSize := flag.Int("cache", 256, "allocation-cache entries")
 	tick := flag.Duration("tick", 50*time.Millisecond, "snapshot fan-out interval")
-	queue := flag.Int("queue", 32, "per-subscriber queue depth (oldest snapshot dropped when full)")
 	tickWorkers := flag.Int("tick-workers", 0, "parallel tick sweep width; 0 picks min(GOMAXPROCS, shards), 1 runs the serial pipeline")
 	keyframeEvery := flag.Int("keyframe-every", 10, "full keyframe cadence for delta-mode subscribers, in fan-outs per view")
 	readIdle := flag.Duration("read-idle", 2*time.Minute, "evict a connection idle this long with no subscription (0 disables)")
 	writeTimeout := flag.Duration("write-timeout", 10*time.Second, "per-frame write deadline; a trip evicts the connection (0 disables)")
-	writeQueue := flag.Int("write-queue", 64, "per-connection outbound frame queue depth (snapshots dropped oldest-first when full)")
+	writeQueue := flag.Int("write-queue", 64, "per-connection outbound frame queue depth, shared by replies and every subscription (fan-out frames dropped oldest-first when full)")
 	retention := flag.Duration("retention", 15*time.Minute, "history age limit for QUERY (0 keeps until -tsdb-mem evicts)")
 	tsdbMem := flag.Int64("tsdb-mem", 8<<20, "history store memory budget in bytes (0 disables QUERY history)")
 	dataDir := flag.String("data-dir", "", "directory for durable history (WAL + sealed segments); empty keeps history RAM-only")
@@ -138,7 +137,6 @@ func main() {
 		CacheSize:       *cacheSize,
 		TickInterval:    *tick,
 		TickWorkers:     *tickWorkers,
-		QueueDepth:      *queue,
 		KeyframeEvery:   *keyframeEvery,
 		ReadIdleTimeout: idle,
 		WriteTimeout:    wt,

@@ -43,11 +43,10 @@ func BenchmarkDerivedFanout(b *testing.B) {
 	// Detached v3 subscribers: push fills their queues and then drops
 	// oldest — the benchmark measures evaluation and encode, not socket
 	// drain.
-	c := &conn{srv: srv, q: newWriteQueue(4)}
-	c.version.Store(3)
 	subs := make([]*subscriber, 4)
 	for i := range subs {
-		subs[i] = &subscriber{c: c, ch: make(chan frame, 1), done: make(chan struct{})}
+		subs[i] = testSub(srv, 1, &wire.Request{})
+		subs[i].c.version.Store(3)
 	}
 	vals := []int64{0, 0, 0, 0}
 	snap := wire.Response{Op: wire.OpSnapshot, OK: true, Session: created.Session,
@@ -117,16 +116,11 @@ func BenchmarkServerFanoutInterest(b *testing.B) {
 				}
 				sessions[i] = sess
 			}
-			c := &conn{srv: srv, q: newWriteQueue(4)}
-			c.version.Store(wire.MinProtocolFilter)
-			sig, canon := filterSig(mode.filter, mode.delta)
 			subs := make([]*subscriber, nSubs)
 			for i := range subs {
-				sub := &subscriber{c: c, ch: make(chan frame, 2*nSessions),
-					done: make(chan struct{}), events: canon, delta: mode.delta, sig: sig}
-				if mode.delta {
-					sub.needKey.Store(true)
-				}
+				sub := testSub(srv, 2*nSessions,
+					&wire.Request{Events: mode.filter, Delta: mode.delta})
+				sub.c.version.Store(wire.MinProtocolFilter)
 				subs[i] = sub
 				if mode.perSession {
 					if _, err := sessions[i%nSessions].addSubscriber(sub); err != nil {
@@ -155,15 +149,13 @@ func BenchmarkServerFanoutInterest(b *testing.B) {
 					}
 				}
 				for _, sub := range subs {
-				drain:
 					for {
-						select {
-						case f := <-sub.ch:
-							bytes += int64(len(f.payload))
-							f.release()
-						default:
-							break drain
+						f, ok := sub.c.q.tryPop()
+						if !ok {
+							break
 						}
+						bytes += int64(len(f.payload))
+						f.release()
 					}
 				}
 			}

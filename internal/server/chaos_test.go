@@ -37,7 +37,6 @@ func TestChaosSurvivesPathologicalPeers(t *testing.T) {
 		ReadIdleTimeout: 400 * time.Millisecond,
 		WriteTimeout:    250 * time.Millisecond,
 		WriteQueueDepth: 8,
-		QueueDepth:      4,
 		// Derived evaluation joins the storm: the ipc group runs on every
 		// covered session each tick, and the (always-true, strict)
 		// threshold rule must fire and be scrapable mid-chaos.

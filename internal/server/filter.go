@@ -185,94 +185,41 @@ func (s *Server) fanoutView(t *tracing.Trace, parent tracing.SpanRef, vs *viewSt
 	if len(vs.events) == 0 {
 		return // the filter matches none of this session's events
 	}
-	detailed := t.Detailed()
-	if !vs.delta {
-		resp := wire.Response{Op: wire.OpSnapshot, OK: true, Session: snap.Session,
-			Events: vs.events, Values: vs.cur, RealUsec: snap.RealUsec,
-			Seq: snap.Seq, Source: snap.Source}
-		enc := encCache{resp: &resp}
-		if detailed {
-			enc.trc, enc.parent = t, parent
-		}
-		for _, sub := range subs {
-			s.pushSnapshot(&enc, sub)
-		}
-		enc.done()
-		return
-	}
-	vs.sinceKey++
-	if !vs.primed || rekeyed || needKey || vs.sinceKey >= s.cfg.KeyframeEvery {
-		vs.primed = true
-		vs.keySeq = snap.Seq
-		vs.keyVals = append(vs.keyVals[:0], vs.cur...)
-		vs.sinceKey = 0
-		resp := wire.Response{Op: wire.OpSnapshot, OK: true, Session: snap.Session,
-			Events: vs.events, Values: vs.cur, RealUsec: snap.RealUsec,
-			Seq: snap.Seq, Source: snap.Source}
-		enc := encCache{resp: &resp}
-		if detailed {
-			enc.trc, enc.parent = t, parent
-		}
-		for _, sub := range subs {
-			s.pushKeyframe(&enc, sub)
-		}
-		enc.done()
-		return
-	}
-	vs.changed = vs.changed[:0]
-	vs.cvals = vs.cvals[:0]
-	for i, v := range vs.cur {
-		if v != vs.keyVals[i] {
-			vs.changed = append(vs.changed, uint32(i))
-			vs.cvals = append(vs.cvals, v)
+	kind := kindSnapshot
+	if vs.delta {
+		vs.sinceKey++
+		if vs.primed && !rekeyed && !needKey && vs.sinceKey < s.cfg.KeyframeEvery {
+			kind = kindDelta
+		} else {
+			vs.primed = true
+			vs.keySeq = snap.Seq
+			vs.keyVals = append(vs.keyVals[:0], vs.cur...)
+			vs.sinceKey = 0
 		}
 	}
-	if len(vs.changed) == 0 {
-		return
+	resp := wire.Response{Op: wire.OpSnapshot, OK: true, Session: snap.Session, Seq: snap.Seq}
+	if kind == kindDelta {
+		vs.changed = vs.changed[:0]
+		vs.cvals = vs.cvals[:0]
+		for i, v := range vs.cur {
+			if v != vs.keyVals[i] {
+				vs.changed = append(vs.changed, uint32(i))
+				vs.cvals = append(vs.cvals, v)
+			}
+		}
+		if len(vs.changed) == 0 {
+			return
+		}
+		resp.Op, resp.Base, resp.Idx, resp.Values = wire.OpDelta, vs.keySeq, vs.changed, vs.cvals
+	} else {
+		resp.Events, resp.Values, resp.RealUsec, resp.Source = vs.events, vs.cur, snap.RealUsec, snap.Source
 	}
-	resp := wire.Response{Op: wire.OpDelta, OK: true, Session: snap.Session,
-		Seq: snap.Seq, Base: vs.keySeq, Idx: vs.changed, Values: vs.cvals}
 	enc := encCache{resp: &resp}
-	if detailed {
+	if t.Detailed() {
 		enc.trc, enc.parent = t, parent
 	}
 	for _, sub := range subs {
-		codec := sub.c.codecNow()
-		sb, ok := enc.get(s, "delta", codec)
-		if !ok {
-			s.m.deltaDropped.Inc()
-			sub.needKey.Store(true)
-			continue
-		}
-		s.m.deltaSent.Inc()
-		sb.ref()
-		if sub.push(frame{payload: sb.buf, codec: codec, droppable: true, shared: sb}) {
-			s.m.deltaDropped.Inc()
-			sub.needKey.Store(true)
-		}
+		s.deliver(&enc, kind, sub)
 	}
 	enc.done()
-}
-
-// pushKeyframe enqueues one keyframe snapshot to a delta subscriber.
-// Any failure to deliver — encode failure or a drop from the full
-// queue — leaves needKey set so the next fan-out re-keys; only a clean
-// enqueue clears it.
-func (s *Server) pushKeyframe(enc *encCache, sub *subscriber) {
-	codec := sub.c.codecNow()
-	sb, ok := enc.get(s, "keyframe", codec)
-	if !ok {
-		s.m.snapDropped.Inc()
-		sub.needKey.Store(true)
-		return
-	}
-	s.m.snapSent.Inc()
-	s.m.keyframes.Inc()
-	sb.ref()
-	if sub.push(frame{payload: sb.buf, codec: codec, droppable: true, shared: sb}) {
-		s.m.snapDropped.Inc()
-		sub.needKey.Store(true)
-	} else {
-		sub.needKey.Store(false)
-	}
 }

@@ -275,12 +275,8 @@ func TestDeltaResyncAfterQueueDrop(t *testing.T) {
 	if !ok {
 		t.Fatal("session not registered")
 	}
-	c := &conn{srv: srv, q: newWriteQueue(4)}
-	c.version.Store(wire.MinProtocolFilter)
-	sig, canon := filterSig(nil, true)
-	stalled := &subscriber{c: c, ch: make(chan frame, 1), done: make(chan struct{}),
-		events: canon, delta: true, sig: sig}
-	stalled.needKey.Store(true)
+	stalled := testSub(srv, 1, &wire.Request{Delta: true})
+	stalled.c.version.Store(wire.MinProtocolFilter)
 	if _, err := sess.addSubscriber(stalled); err != nil {
 		t.Fatal(err)
 	}
@@ -304,7 +300,8 @@ func TestDeltaResyncAfterQueueDrop(t *testing.T) {
 	publish(4) // resync: the whole view re-keys
 
 	var latest wire.Response
-	if err := json.Unmarshal((<-stalled.ch).payload, &latest); err != nil {
+	f, _ := stalled.c.q.tryPop()
+	if err := json.Unmarshal(f.payload, &latest); err != nil {
 		t.Fatalf("frame payload: %v", err)
 	}
 	if latest.Op != wire.OpSnapshot {
@@ -618,10 +615,9 @@ func TestFanoutEncodeFailure(t *testing.T) {
 	if !ok {
 		t.Fatal("session not registered")
 	}
-	c := &conn{srv: srv, q: newWriteQueue(4)}
-	c.version.Store(wire.MinProtocolFilter)
 	for i := 0; i < 2; i++ {
-		sub := &subscriber{c: c, ch: make(chan frame, 4), done: make(chan struct{})}
+		sub := testSub(srv, 4, &wire.Request{})
+		sub.c.version.Store(wire.MinProtocolFilter)
 		if _, err := sess.addSubscriber(sub); err != nil {
 			t.Fatal(err)
 		}

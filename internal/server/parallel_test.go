@@ -17,7 +17,7 @@ import (
 )
 
 // parallelHarness builds a hand-ticked server with nSessions counting
-// sessions, one detached subscriber each (channel capacity queueCap,
+// sessions, one detached subscriber each (write-queue depth queueCap,
 // caller-drained), spread across registry shards.
 type parallelHarness struct {
 	srv  *Server
@@ -43,7 +43,7 @@ func newParallelHarness(t *testing.T, cfg Config, nSessions, queueCap int) *para
 		if !ok {
 			t.Fatal("session not registered")
 		}
-		sub := &subscriber{ch: make(chan frame, queueCap), done: make(chan struct{})}
+		sub := testSub(h.srv, queueCap, &wire.Request{})
 		if _, err := sess.addSubscriber(sub); err != nil {
 			t.Fatal(err)
 		}
@@ -57,22 +57,21 @@ func newParallelHarness(t *testing.T, cfg Config, nSessions, queueCap int) *para
 	return h
 }
 
-// drain empties one subscriber queue, decoding each frame.
+// drainFrames empties one subscriber's write queue, decoding each frame.
 func drainFrames(t *testing.T, sub *subscriber) []wire.Response {
 	t.Helper()
 	var out []wire.Response
 	for {
-		select {
-		case f := <-sub.ch:
-			var resp wire.Response
-			if err := json.Unmarshal(f.payload, &resp); err != nil {
-				t.Fatalf("frame payload: %v", err)
-			}
-			f.release()
-			out = append(out, resp)
-		default:
+		f, ok := sub.c.q.tryPop()
+		if !ok {
 			return out
 		}
+		var resp wire.Response
+		if err := json.Unmarshal(f.payload, &resp); err != nil {
+			t.Fatalf("frame payload: %v", err)
+		}
+		f.release()
+		out = append(out, resp)
 	}
 }
 
@@ -125,15 +124,13 @@ func TestParallelSerialEquivalence(t *testing.T) {
 		}
 		streams := make(map[uint64][]string, nSessions)
 		for i, sub := range h.subs {
-		drain:
 			for {
-				select {
-				case f := <-sub.ch:
-					streams[h.ids[i]] = append(streams[h.ids[i]], string(f.payload))
-					f.release()
-				default:
-					break drain
+				f, ok := sub.c.q.tryPop()
+				if !ok {
+					break
 				}
+				streams[h.ids[i]] = append(streams[h.ids[i]], string(f.payload))
+				f.release()
 			}
 		}
 		return streams
@@ -160,7 +157,7 @@ func TestParallelSerialEquivalence(t *testing.T) {
 // concurrent sweep workers plus backpressure.
 func TestParallelDeltaRekeyAfterDrop(t *testing.T) {
 	srv := New(Config{TickInterval: time.Hour, TickWorkers: 8,
-		QueueDepth: 2, KeyframeEvery: 1 << 30})
+		WriteQueueDepth: 2, KeyframeEvery: 1 << 30})
 	t.Cleanup(func() {
 		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 		defer cancel()
@@ -172,10 +169,7 @@ func TestParallelDeltaRekeyAfterDrop(t *testing.T) {
 		t.Fatal(created.Error)
 	}
 	sess, _ := srv.reg.get(created.Session)
-	sig, canon := filterSig(nil, true)
-	sub := &subscriber{ch: make(chan frame, srv.cfg.QueueDepth),
-		done: make(chan struct{}), events: canon, delta: true, sig: sig}
-	sub.needKey.Store(true)
+	sub := testSub(srv, srv.cfg.WriteQueueDepth, &wire.Request{Delta: true})
 	if _, err := sess.addSubscriber(sub); err != nil {
 		t.Fatal(err)
 	}
@@ -220,8 +214,6 @@ func TestParallelDerivedFollowsSnapshot(t *testing.T) {
 		srv.Shutdown(ctx)
 	})
 	const nSessions, nTicks = 8, 6
-	c := &conn{srv: srv, q: newWriteQueue(4)}
-	c.version.Store(int32(wire.MinProtocolDerived))
 	var subs []*subscriber
 	for i := 0; i < nSessions; i++ {
 		created := srv.dispatch(nil, &wire.Request{Op: wire.OpCreate,
@@ -230,7 +222,8 @@ func TestParallelDerivedFollowsSnapshot(t *testing.T) {
 			t.Fatal(created.Error)
 		}
 		sess, _ := srv.reg.get(created.Session)
-		sub := &subscriber{c: c, ch: make(chan frame, 4*nTicks), done: make(chan struct{})}
+		sub := testSub(srv, 4*nTicks, &wire.Request{})
+		sub.c.version.Store(int32(wire.MinProtocolDerived))
 		if _, err := sess.addSubscriber(sub); err != nil {
 			t.Fatal(err)
 		}
@@ -328,12 +321,14 @@ func TestAsyncWALHandoffDurable(t *testing.T) {
 	}
 	cl.Close()
 
-	want := durableQueries(t, srv, id, 0, 1<<60)
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 	defer cancel()
 	if err := srv.Shutdown(ctx); err != nil {
 		t.Fatalf("Shutdown: %v", err)
 	}
+	// Snapshot after the drain: a tick landing between a pre-shutdown
+	// snapshot and Shutdown would be a legitimate extra row.
+	want := durableQueries(t, srv, id, 0, 1<<60)
 
 	srv2 := New(Config{TickInterval: time.Hour, TSDBRetention: -1, DataDir: dir, Fsync: "off"})
 	if srv2.walErr != nil {

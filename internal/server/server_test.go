@@ -42,6 +42,13 @@ func dialT(t testing.TB, addr string) *Client {
 	return cl
 }
 
+// testSub builds the subscriber req asks for on a socketless connection
+// of its own: fan-out frames wait in that connection's depth-deep write
+// queue until the test drains sub.c.q.
+func testSub(srv *Server, depth int, req *wire.Request) *subscriber {
+	return newSubscriber(&conn{srv: srv, q: newWriteQueue(depth, srv.m)}, req)
+}
+
 func TestSessionLifecycle(t *testing.T) {
 	_, addr := startServer(t, Config{TickInterval: 2 * time.Millisecond})
 	cl := dialT(t, addr)
@@ -241,16 +248,21 @@ func TestSubscribeFanout(t *testing.T) {
 }
 
 // TestDropOldestPolicy verifies the bounded-queue policy at the
-// subscriber level: pushing into a full queue evicts the oldest frame
+// write-queue level: pushing into a full queue evicts the oldest frame
 // and keeps the newest.
 func TestDropOldestPolicy(t *testing.T) {
-	sub := &subscriber{ch: make(chan frame, 2), done: make(chan struct{})}
+	srv := New(Config{TickInterval: time.Hour})
+	sub := testSub(srv, 2, &wire.Request{})
 	mk := func(seq uint64) frame {
 		payload, err := wire.AppendFrame(nil, wire.CodecJSON, &wire.Response{Seq: seq})
 		if err != nil {
 			t.Fatal(err)
 		}
-		return frame{payload: payload, droppable: true}
+		return frame{payload: payload, kind: kindSnapshot, owner: sub}
+	}
+	pop := func() frame {
+		f, _ := sub.c.q.tryPop()
+		return f
 	}
 	seqOf := func(f frame) uint64 {
 		var resp wire.Response
@@ -259,14 +271,14 @@ func TestDropOldestPolicy(t *testing.T) {
 		}
 		return resp.Seq
 	}
-	if sub.push(mk(1)) {
+	if sub.c.q.push(mk(1)); srv.Stats().WriteDrops != 0 {
 		t.Error("dropped on an empty queue")
 	}
-	sub.push(mk(2))
-	if !sub.push(mk(3)) {
+	sub.c.q.push(mk(2))
+	if sub.c.q.push(mk(3)); srv.Stats().WriteDrops != 1 {
 		t.Error("no drop reported on a full queue")
 	}
-	got1, got2 := seqOf(<-sub.ch), seqOf(<-sub.ch)
+	got1, got2 := seqOf(pop()), seqOf(pop())
 	if got1 != 2 || got2 != 3 {
 		t.Errorf("queue holds seq %d,%d; want 2,3 (oldest dropped)", got1, got2)
 	}
@@ -278,7 +290,7 @@ func TestDropOldestPolicy(t *testing.T) {
 // loop never blocks. TCP buffering would mask this end to end, so the
 // ticks are driven directly.
 func TestSlowConsumerDropsViaTick(t *testing.T) {
-	srv := New(Config{QueueDepth: 1, TickInterval: time.Hour})
+	srv := New(Config{WriteQueueDepth: 1, TickInterval: time.Hour})
 	created := srv.dispatch(nil, &wire.Request{Op: wire.OpCreate,
 		Events: []string{"PAPI_TOT_CYC"}, Workload: "dot", N: 8})
 	if !created.OK {
@@ -288,7 +300,7 @@ func TestSlowConsumerDropsViaTick(t *testing.T) {
 	if !ok {
 		t.Fatal("session not registered")
 	}
-	stalled := &subscriber{ch: make(chan frame, srv.cfg.QueueDepth), done: make(chan struct{})}
+	stalled := testSub(srv, srv.cfg.WriteQueueDepth, &wire.Request{})
 	if _, err := sess.addSubscriber(stalled); err != nil {
 		t.Fatal(err)
 	}
@@ -306,7 +318,8 @@ func TestSlowConsumerDropsViaTick(t *testing.T) {
 		t.Errorf("dropped %d snapshots, want 2", st.SnapshotsDropped)
 	}
 	var latest wire.Response
-	if err := json.Unmarshal((<-stalled.ch).payload, &latest); err != nil {
+	f, _ := stalled.c.q.tryPop()
+	if err := json.Unmarshal(f.payload, &latest); err != nil {
 		t.Fatalf("frame payload: %v", err)
 	}
 	if latest.Seq != 3 {

@@ -55,12 +55,20 @@ func (r *slowRing) samples() []wire.SlowSample {
 // hand-maintained Stats plumbing tracked, now registry-backed so one
 // increment feeds Stats(), the Prometheus /metrics exposition, the
 // /statusz document, and the wire STATS histograms alike.
+//
+// Fan-out frame accounting: sent[k] counts frames of kind k handed to
+// a subscriber's connection write queue (deliver), and a fan-out frame
+// that never reaches the socket is counted exactly once, in
+// dropped[k] — by deliver when it fails to encode, or by
+// writeQueue.push when a full queue sheds it. writeDrops is the
+// all-kinds total of those queue drops, so on a live connection the
+// fan-out frames written are Σ sent − writeDrops (a frame that failed
+// to encode was never counted sent). Snapshot counters cover full
+// SNAPSHOT frames including keyframes, which keyframes tallies again.
 type metrics struct {
 	reg *telemetry.Registry
 
 	ticks         *telemetry.Counter
-	snapSent      *telemetry.Counter
-	snapDropped   *telemetry.Counter
 	evictions     *telemetry.Counter
 	deadlineTrips *telemetry.Counter
 	resyncs       *telemetry.Counter
@@ -69,16 +77,12 @@ type metrics struct {
 	// queue (tick.go) — the disk falling behind the tick rate.
 	tickStalls *telemetry.Counter
 
-	// DERIVED and DELTA fan-out keep their own sent/dropped pairs so
-	// snapshot accounting stays pure: snapSent/snapDropped count full
-	// SNAPSHOT frames only (keyframes included, tallied separately in
-	// keyframes). encodeFailures counts fan-out frames that could not
-	// be serialized at all — each costs every subscriber on that codec
-	// its frame, which the matching dropped counter also records.
-	derivedSent    *telemetry.Counter
-	derivedDropped *telemetry.Counter
-	deltaSent      *telemetry.Counter
-	deltaDropped   *telemetry.Counter
+	// Per-kind fan-out frames, indexed by frameKind (the reply slot is
+	// nil). encodeFailures counts fan-out frames that could not be
+	// serialized at all — each costs every subscriber on that codec
+	// its frame, which the kind's dropped counter also records.
+	sent           [numFrameKinds]*telemetry.Counter
+	dropped        [numFrameKinds]*telemetry.Counter
 	keyframes      *telemetry.Counter
 	encodeFailures *telemetry.Counter
 
@@ -110,10 +114,20 @@ func newMetrics(reg *telemetry.Registry) *metrics {
 	m := &metrics{reg: reg}
 	m.ticks = reg.NewCounter(telemetry.Opts{Name: "papid_ticks_total",
 		Help: "Snapshot fan-out ticks run."})
-	m.snapSent = reg.NewCounter(telemetry.Opts{Name: "papid_snapshots_sent_total",
-		Help: "Snapshot frames enqueued to subscribers."})
-	m.snapDropped = reg.NewCounter(telemetry.Opts{Name: "papid_snapshots_dropped_total",
-		Help: "Snapshot frames dropped from full subscriber queues."})
+	for _, k := range []struct {
+		kind frameKind
+		name string // metric family stem
+		what string // frames, in Help text
+	}{
+		{kindSnapshot, "snapshots", "Snapshot frames (keyframes included)"},
+		{kindDelta, "deltas", "DELTA frames"},
+		{kindDerived, "derived", "DERIVED frames"},
+	} {
+		m.sent[k.kind] = reg.NewCounter(telemetry.Opts{Name: "papid_" + k.name + "_sent_total",
+			Help: k.what + " handed to subscriber write queues."})
+		m.dropped[k.kind] = reg.NewCounter(telemetry.Opts{Name: "papid_" + k.name + "_dropped_total",
+			Help: k.what + " that never reached the socket: shed by a full write queue or failed to encode."})
+	}
 	m.evictions = reg.NewCounter(telemetry.Opts{Name: "papid_evictions_total",
 		Help: "Connections the server cut loose (idle, deadline trips, jammed queues)."})
 	m.deadlineTrips = reg.NewCounter(telemetry.Opts{Name: "papid_deadline_trips_total",
@@ -121,17 +135,9 @@ func newMetrics(reg *telemetry.Registry) *metrics {
 	m.resyncs = reg.NewCounter(telemetry.Opts{Name: "papid_resyncs_total",
 		Help: "Malformed frames answered with an ERROR frame and skipped."})
 	m.writeDrops = reg.NewCounter(telemetry.Opts{Name: "papid_write_drops_total",
-		Help: "Snapshot frames dropped from per-connection write queues."})
+		Help: "Fan-out frames of every kind shed by full per-connection write queues."})
 	m.tickStalls = reg.NewCounter(telemetry.Opts{Name: "papid_tick_stalls_total",
 		Help: "Ticks that blocked handing a history row to the WAL appender (full queue)."})
-	m.derivedSent = reg.NewCounter(telemetry.Opts{Name: "papid_derived_sent_total",
-		Help: "DERIVED frames enqueued to subscribers."})
-	m.derivedDropped = reg.NewCounter(telemetry.Opts{Name: "papid_derived_dropped_total",
-		Help: "DERIVED frames dropped from full subscriber queues or failed encodes."})
-	m.deltaSent = reg.NewCounter(telemetry.Opts{Name: "papid_deltas_sent_total",
-		Help: "DELTA frames enqueued to delta-mode subscribers."})
-	m.deltaDropped = reg.NewCounter(telemetry.Opts{Name: "papid_deltas_dropped_total",
-		Help: "DELTA frames dropped from full subscriber queues or failed encodes."})
 	m.keyframes = reg.NewCounter(telemetry.Opts{Name: "papid_keyframes_sent_total",
 		Help: "Keyframe snapshots enqueued to delta-mode subscribers (cadence, subscribe, or drop resync)."})
 	m.encodeFailures = reg.NewCounter(telemetry.Opts{Name: "papid_encode_failures_total",

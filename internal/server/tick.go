@@ -266,13 +266,13 @@ const maxPooledFrame = 1 << 16
 
 // sharedBuf is a reference-counted, pooled encode buffer for fan-out
 // frames. A fan-out serializes each distinct frame once per codec and
-// shares the bytes across every subscriber queue; the refcount is one
-// for the encCache that owns the encode plus one per enqueued frame,
-// and whoever drops the last reference returns the buffer to the pool.
-// Every deliberate discard path releases (queue drop-oldest, write
-// queue eviction, jam, the socket write itself); frames abandoned
-// inside a torn-down subscriber channel are simply never released and
-// fall to the GC — a pool miss, never a reuse-while-referenced.
+// shares the bytes across every connection write queue; the refcount
+// is one for the encCache that owns the encode plus one per enqueued
+// frame, and whoever drops the last reference returns the buffer to
+// the pool. Every deliberate discard path releases (write-queue drop,
+// jam, closed queue, the socket write itself); frames abandoned in the
+// queue of an evicted connection are simply never released and fall
+// to the GC — a pool miss, never a reuse-while-referenced.
 type sharedBuf struct {
 	buf  []byte
 	refs atomic.Int32

@@ -15,12 +15,17 @@ fi
 go build ./...
 go vet ./...
 go test -race -timeout 10m ./...
+# The end-to-end benchmark is a module of its own (papidbench/go.mod),
+# so the root ./... above skips it; its tests are offline and fast.
+go -C papidbench test ./...
 # The connection-lifecycle chaos suite, isolated with a short -timeout:
 # 32 pathological clients against tight deadlines must converge in
 # seconds, and a reintroduced hang (eviction that never fires, writer
 # that never drains) should fail here fast instead of eating the
-# 10-minute budget above.
-go test -race -timeout 2m -run 'TestChaos|TestDoTimeout|TestReconn|TestDialRetry' -count=2 ./internal/server/
+# 10-minute budget above. The frame-ledger conservation and
+# subscription-goroutine tests ride along: both pin properties of the
+# one-queue-per-connection fan-out the chaos peers stress.
+go test -race -timeout 2m -run 'TestChaos|TestDoTimeout|TestReconn|TestDialRetry|TestFanoutLedgerConservation|TestSubscribeAddsNoGoroutines' -count=2 ./internal/server/
 # One-iteration benchmark smoke: catches benchmarks that no longer
 # compile or crash, without paying for a real measurement run.
 go test -run='^$' -bench=. -benchtime=1x ./...
