@@ -39,7 +39,8 @@
 //
 // SIGINT/SIGTERM trigger a graceful drain: running sessions fold their
 // final counts, subscribers are detached, and the process exits after
-// reporting its lifetime stats and per-op latency quantiles.
+// logging its lifetime STATS map as one sorted key=value line plus its
+// per-op latency quantiles.
 package main
 
 import (
@@ -50,6 +51,7 @@ import (
 	"log/slog"
 	"os"
 	"os/signal"
+	"sort"
 	"strings"
 	"syscall"
 	"time"
@@ -180,24 +182,19 @@ func main() {
 		fmt.Fprintln(os.Stderr, "papid: shutdown:", err)
 		os.Exit(1)
 	}
+	// One sorted key=value line: the STATS map, read after Shutdown
+	// closed the WAL, so its wal_* counters include the final seal.
 	st := srv.Stats()
-	log.Printf("papid: %d ticks, %d snapshots sent (%d dropped), alloc cache %.0f%% hits",
-		st.Ticks, st.SnapshotsSent, st.SnapshotsDropped, 100*st.CacheHitRate())
-	log.Printf("papid: %d evictions (%d deadline trips), %d resyncs, %d write drops",
-		st.Evictions, st.DeadlineTrips, st.Resyncs, st.WriteDrops)
-	log.Printf("papid: %d keyframes, %d deltas sent (%d dropped), %d derived sent (%d dropped), %d encode failures",
-		st.Keyframes, st.DeltasSent, st.DeltasDropped, st.DerivedSent, st.DerivedDropped, st.EncodeFailures)
-	log.Printf("papid: wire json %d frames / %d bytes, binary %d frames / %d bytes",
-		st.FramesSentJSON, st.BytesSentJSON, st.FramesSentBinary, st.BytesSentBinary)
-	log.Printf("papid: tsdb %d bytes across %d series, %d samples, %d evictions",
-		st.TSDB.Bytes, st.TSDB.Series, st.TSDB.Samples, st.TSDB.Evictions)
-	if st.Durable {
-		// The WAL closed inside Shutdown, before this report: the active
-		// segment is sealed and the clean marker written by now.
-		log.Printf("papid: wal %d rows, %d sealed blocks, %d fsyncs, %d segments, %d bytes on disk, %d compactions",
-			st.WAL.Rows, st.WAL.SealedBlocks, st.WAL.Fsyncs, st.WAL.Segments,
-			st.WAL.DiskBytes, st.WAL.Compactions)
+	keys := make([]string, 0, len(st))
+	for k := range st {
+		keys = append(keys, k)
 	}
+	sort.Strings(keys)
+	var line strings.Builder
+	for _, k := range keys {
+		fmt.Fprintf(&line, " %s=%d", k, st[k])
+	}
+	log.Printf("papid: stats%s", line.String())
 	if table := telemetry.FormatSummaryTable(srv.Telemetry().Summaries(), nil); table != "" {
 		log.Printf("papid: latency quantiles:\n%s", strings.TrimRight(table, "\n"))
 	}

@@ -149,8 +149,8 @@ func TestServePublishes(t *testing.T) {
 		t.Fatal(err)
 	}
 	st := srv.Stats()
-	if st.TSDB.Samples != 2 {
-		t.Errorf("published snapshot recorded %d tsdb samples, want 2", st.TSDB.Samples)
+	if st["tsdb_samples"] != 2 {
+		t.Errorf("published snapshot recorded %d tsdb samples, want 2", st["tsdb_samples"])
 	}
 	// The published values are queryable history.
 	cl, err := server.Dial(addr.String())
@@ -191,8 +191,8 @@ func TestServeTrajectoryDerives(t *testing.T) {
 		t.Fatal(err)
 	}
 	st := srv.Stats()
-	if want := uint64(2 * reps); st.TSDB.Samples != want {
-		t.Errorf("trajectory recorded %d tsdb samples, want %d", st.TSDB.Samples, want)
+	if want := uint64(2 * reps); st["tsdb_samples"] != want {
+		t.Errorf("trajectory recorded %d tsdb samples, want %d", st["tsdb_samples"], want)
 	}
 
 	cl, err := server.Dial(addr.String())

@@ -93,9 +93,9 @@ func NewEngine(reg *Registry, rules []Rule, logger *slog.Logger, treg *telemetry
 		reg:   reg,
 		rules: append([]Rule(nil), rules...),
 		log:   logger,
-		evals: treg.NewCounter(telemetry.Opts{Name: "papid_derive_evals_total",
+		evals: treg.NewCounter(telemetry.Opts{Name: "papid_derive_evals_total", Key: "derive_evals",
 			Help: "Derived-group evaluations completed (one per session per tick with groups registered)."}),
-		alerts: treg.NewCounter(telemetry.Opts{Name: "papid_derive_alerts_total",
+		alerts: treg.NewCounter(telemetry.Opts{Name: "papid_derive_alerts_total", Key: "derive_alerts",
 			Help: "Threshold-rule alerts fired on derived metrics."}),
 	}
 	for i := range e.stripes {

@@ -162,9 +162,9 @@ func BenchmarkServerFanoutInterest(b *testing.B) {
 			b.StopTimer()
 			b.ReportMetric(float64(bytes)/float64(nSubs)/float64(b.N), "bytes/sub-tick")
 			st := srv.Stats()
-			if st.SnapshotsDropped+st.DeltasDropped > 0 {
+			if st["snapshots_dropped"]+st["deltas_dropped"] > 0 {
 				b.Fatalf("%d frames dropped; bytes/sub-tick would undercount",
-					st.SnapshotsDropped+st.DeltasDropped)
+					st["snapshots_dropped"]+st["deltas_dropped"])
 			}
 		})
 	}

@@ -123,69 +123,7 @@ func (s *Server) dispatch(c *conn, req *wire.Request) wire.Response {
 		})
 		return wire.Response{Op: req.Op, OK: true, Session: req.Session, Series: series}
 	case wire.OpStats:
-		st := s.Stats()
-		resp := wire.Response{Op: req.Op, OK: true, Stats: map[string]uint64{
-			"sessions":           uint64(st.Sessions),
-			"connections":        uint64(st.Connections),
-			"cache_hits":         st.CacheHits,
-			"cache_misses":       st.CacheMisses,
-			"snapshots_sent":     st.SnapshotsSent,
-			"snapshots_dropped":  st.SnapshotsDropped,
-			"ticks":              st.Ticks,
-			"evictions":          st.Evictions,
-			"deadline_trips":     st.DeadlineTrips,
-			"resyncs":            st.Resyncs,
-			"write_drops":        st.WriteDrops,
-			"tick_stalls":        st.TickStalls,
-			"frames_sent_json":   st.FramesSentJSON,
-			"frames_sent_binary": st.FramesSentBinary,
-			"bytes_sent_json":    st.BytesSentJSON,
-			"bytes_sent_binary":  st.BytesSentBinary,
-			"tsdb_bytes":         uint64(st.TSDB.Bytes),
-			"tsdb_series":        uint64(st.TSDB.Series),
-			"tsdb_samples":       st.TSDB.Samples,
-			"tsdb_evictions":     st.TSDB.Evictions,
-			"derive_evals":       s.derive.Evals(),
-			"derive_alerts":      s.derive.Alerts(),
-			"derived_sent":       st.DerivedSent,
-			"derived_dropped":    st.DerivedDropped,
-			"deltas_sent":        st.DeltasSent,
-			"deltas_dropped":     st.DeltasDropped,
-			"keyframes_sent":     st.Keyframes,
-			"encode_failures":    st.EncodeFailures,
-		}}
-		// wal_* keys appear only on durable servers; RAM-only STATS
-		// replies stay byte-identical to what earlier PRs sent.
-		if st.Durable {
-			w := st.WAL
-			resp.Stats["wal_rows"] = w.Rows
-			resp.Stats["wal_fsyncs"] = w.Fsyncs
-			resp.Stats["wal_sealed_blocks"] = w.SealedBlocks
-			resp.Stats["wal_compactions"] = w.Compactions
-			resp.Stats["wal_truncated_files"] = w.TruncatedWALFiles
-			resp.Stats["wal_write_errors"] = w.WriteErrors
-			resp.Stats["wal_files"] = uint64(w.WALFiles)
-			resp.Stats["wal_segments"] = uint64(w.Segments)
-			resp.Stats["wal_disk_bytes"] = uint64(w.DiskBytes)
-			resp.Stats["wal_replayed_rows"] = w.Replay.Rows
-			resp.Stats["wal_replayed_blocks"] = uint64(w.Replay.Blocks)
-			resp.Stats["wal_torn_records"] = uint64(w.Replay.TornRecords)
-			if w.Replay.CleanStart {
-				resp.Stats["wal_clean_start"] = 1
-			} else {
-				resp.Stats["wal_clean_start"] = 0
-			}
-		}
-		// trace_* keys appear only when the flight recorder is on, so a
-		// server with tracing off answers byte-identically to earlier
-		// releases.
-		if s.trc != nil {
-			ts := s.trc.TracerStats()
-			resp.Stats["trace_started"] = ts.Started
-			resp.Stats["trace_retained"] = ts.Retained
-			resp.Stats["trace_kept_slow"] = ts.KeptSlow
-			resp.Stats["trace_kept_err"] = ts.KeptErr
-		}
+		resp := wire.Response{Op: req.Op, OK: true, Stats: s.Stats()}
 		// Histogram summaries are a v3 addition: only peers that
 		// announced version >= 3 at HELLO receive them, so a v2 JSON
 		// client's STATS reply stays byte-compatible with what PR 2's

@@ -124,9 +124,9 @@ func TestFanoutLedgerConservation(t *testing.T) {
 			kind          frameKind
 			sent, dropped uint64
 		}{
-			{kindSnapshot, st.SnapshotsSent, st.SnapshotsDropped},
-			{kindDelta, st.DeltasSent, st.DeltasDropped},
-			{kindDerived, st.DerivedSent, st.DerivedDropped},
+			{kindSnapshot, st["snapshots_sent"], st["snapshots_dropped"]},
+			{kindDelta, st["deltas_sent"], st["deltas_dropped"]},
+			{kindDerived, st["derived_sent"], st["derived_dropped"]},
 		} {
 			if k.sent-k.dropped != popped[k.kind] {
 				t.Errorf("seed %d %s: sent %d − dropped %d = %d, but %d frames left the queue",
@@ -136,8 +136,8 @@ func TestFanoutLedgerConservation(t *testing.T) {
 				t.Errorf("seed %d %s: dropped %d, model shed %d", seed, k.kind, k.dropped, wantDropped[k.kind])
 			}
 		}
-		if st.WriteDrops != wantWriteDrops {
-			t.Errorf("seed %d: write_drops %d, model shed %d", seed, st.WriteDrops, wantWriteDrops)
+		if st["write_drops"] != wantWriteDrops {
+			t.Errorf("seed %d: write_drops %d, model shed %d", seed, st["write_drops"], wantWriteDrops)
 		}
 		if wantWriteDrops == 0 || wantDropped[kindDelta] == 0 {
 			t.Errorf("seed %d: model shed %v; the run never exercised queue drops", seed, wantDropped)

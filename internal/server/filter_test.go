@@ -256,8 +256,8 @@ func TestDeltaKeyframeCadence(t *testing.T) {
 		t.Errorf("frame ops %v, want cadence %v", ops, wantOps)
 	}
 	st := srv.Stats()
-	if st.Keyframes != 3 || st.DeltasSent != 4 {
-		t.Errorf("stats keyframes=%d deltas=%d, want 3 and 4", st.Keyframes, st.DeltasSent)
+	if st["keyframes_sent"] != 3 || st["deltas_sent"] != 4 {
+		t.Errorf("stats keyframes=%d deltas=%d, want 3 and 4", st["keyframes_sent"], st["deltas_sent"])
 	}
 }
 
@@ -311,11 +311,11 @@ func TestDeltaResyncAfterQueueDrop(t *testing.T) {
 		t.Errorf("keyframe %v=%v, want [a b]=[1 4]", latest.Events, latest.Values)
 	}
 	st := srv.Stats()
-	if st.Keyframes != 2 {
-		t.Errorf("keyframes %d, want 2 (initial + resync)", st.Keyframes)
+	if st["keyframes_sent"] != 2 {
+		t.Errorf("keyframes %d, want 2 (initial + resync)", st["keyframes_sent"])
 	}
-	if st.DeltasSent != 1 {
-		t.Errorf("deltas sent %d, want 1", st.DeltasSent)
+	if st["deltas_sent"] != 1 {
+		t.Errorf("deltas sent %d, want 1", st["deltas_sent"])
 	}
 }
 
@@ -631,12 +631,12 @@ func TestFanoutEncodeFailure(t *testing.T) {
 		t.Errorf("%d encode attempts, want 1 (failure negative-cached per tick)", attempts)
 	}
 	st := srv.Stats()
-	if st.EncodeFailures != 1 {
-		t.Errorf("encode failures %d, want 1", st.EncodeFailures)
+	if st["encode_failures"] != 1 {
+		t.Errorf("encode failures %d, want 1", st["encode_failures"])
 	}
-	if st.SnapshotsSent != 0 || st.SnapshotsDropped != 2 {
+	if st["snapshots_sent"] != 0 || st["snapshots_dropped"] != 2 {
 		t.Errorf("sent=%d dropped=%d, want 0 sent and both subscribers' drops counted",
-			st.SnapshotsSent, st.SnapshotsDropped)
+			st["snapshots_sent"], st["snapshots_dropped"])
 	}
 }
 
@@ -686,14 +686,14 @@ func TestDerivedCountersDistinct(t *testing.T) {
 	publish(700, 400) // second sample after priming: the group evaluates
 
 	st := srv.Stats()
-	if st.DerivedSent == 0 {
+	if st["derived_sent"] == 0 {
 		t.Fatal("no DERIVED frame counted in derived_sent")
 	}
-	if st.SnapshotsSent != 2 {
-		t.Errorf("snapshots_sent %d, want 2 (DERIVED frames must not inflate it)", st.SnapshotsSent)
+	if st["snapshots_sent"] != 2 {
+		t.Errorf("snapshots_sent %d, want 2 (DERIVED frames must not inflate it)", st["snapshots_sent"])
 	}
-	if st.DerivedDropped != 0 || st.SnapshotsDropped != 0 {
-		t.Errorf("dropped counters derived=%d snap=%d, want 0", st.DerivedDropped, st.SnapshotsDropped)
+	if st["derived_dropped"] != 0 || st["snapshots_dropped"] != 0 {
+		t.Errorf("dropped counters derived=%d snap=%d, want 0", st["derived_dropped"], st["snapshots_dropped"])
 	}
 	resp, err := sub.Do(wire.Request{Op: wire.OpStats})
 	if err != nil {
@@ -704,7 +704,7 @@ func TestDerivedCountersDistinct(t *testing.T) {
 			t.Errorf("STATS reply missing %q", key)
 		}
 	}
-	if fmt.Sprint(resp.Stats["derived_sent"]) != fmt.Sprint(st.DerivedSent) {
-		t.Errorf("STATS derived_sent %d != Stats() %d", resp.Stats["derived_sent"], st.DerivedSent)
+	if fmt.Sprint(resp.Stats["derived_sent"]) != fmt.Sprint(st["derived_sent"]) {
+		t.Errorf("STATS derived_sent %d != Stats() %d", resp.Stats["derived_sent"], st["derived_sent"])
 	}
 }

@@ -84,11 +84,11 @@ func TestQuery100kTicks(t *testing.T) {
 	}
 
 	st := srv.Stats()
-	if st.TSDB.Samples != uint64(nTicks*len(events)) {
-		t.Fatalf("tsdb holds %d samples, want %d", st.TSDB.Samples, nTicks*len(events))
+	if st["tsdb_samples"] != uint64(nTicks*len(events)) {
+		t.Fatalf("tsdb holds %d samples, want %d", st["tsdb_samples"], nTicks*len(events))
 	}
-	if st.TSDB.Bytes > 2<<20 {
-		t.Errorf("tsdb %d bytes exceeds the 2 MiB budget", st.TSDB.Bytes)
+	if st["tsdb_bytes"] > 2<<20 {
+		t.Errorf("tsdb %d bytes exceeds the 2 MiB budget", st["tsdb_bytes"])
 	}
 
 	from, to := tss[0], tss[len(tss)-1]+1

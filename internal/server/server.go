@@ -247,70 +247,6 @@ func (c *Config) fill() {
 	}
 }
 
-// Stats is a point-in-time view of the server's counters.
-type Stats struct {
-	Sessions         int
-	Connections      int
-	CacheHits        uint64
-	CacheMisses      uint64
-	SnapshotsSent    uint64
-	SnapshotsDropped uint64
-	Ticks            uint64
-	// Evictions counts connections the server cut loose (read-idle or
-	// write-deadline trips, jammed reply queues).
-	Evictions uint64
-	// DeadlineTrips counts read/write deadline expirations that led
-	// to an eviction.
-	DeadlineTrips uint64
-	// Resyncs counts malformed frames answered with an ERROR frame
-	// and skipped — per-line resynchronization events.
-	Resyncs uint64
-	// WriteDrops counts fan-out frames of every kind shed by full
-	// per-connection write queues. Each is also counted once in its
-	// kind's dropped counter (SnapshotsDropped, DeltasDropped,
-	// DerivedDropped), which additionally hold encode failures.
-	WriteDrops uint64
-	// DerivedSent/DerivedDropped count DERIVED fan-out frames — kept
-	// apart from the snapshot counters, which count full SNAPSHOT
-	// frames only (keyframes included; Keyframes tallies those again
-	// separately). DeltasSent/DeltasDropped count DELTA frames, and
-	// EncodeFailures counts fan-out frames that failed to serialize at
-	// all (each also recorded in its kind's dropped counter, once per
-	// subscriber on the failing codec).
-	DerivedSent    uint64
-	DerivedDropped uint64
-	DeltasSent     uint64
-	DeltasDropped  uint64
-	Keyframes      uint64
-	EncodeFailures uint64
-	// FramesSentJSON/BytesSentJSON and their binary twins count
-	// outbound frames and payload bytes per codec, so operators can
-	// see which protocol their clients actually negotiated.
-	FramesSentJSON   uint64
-	FramesSentBinary uint64
-	BytesSentJSON    uint64
-	BytesSentBinary  uint64
-	// TickStalls counts ticks that blocked handing a history row to
-	// the async WAL appender because its queue was full (durable
-	// servers only) — sustained growth means the disk cannot keep up
-	// with the tick rate.
-	TickStalls uint64
-	TSDB       tsdb.Stats // zero when history is disabled
-	// Durable reports whether a data directory is attached; WAL is its
-	// durability layer's counters (zero otherwise).
-	Durable bool
-	WAL     wal.Stats
-}
-
-// CacheHitRate returns hits/(hits+misses), or 0 before any lookup.
-func (s Stats) CacheHitRate() float64 {
-	total := s.CacheHits + s.CacheMisses
-	if total == 0 {
-		return 0
-	}
-	return float64(s.CacheHits) / float64(total)
-}
-
 // Server is one papid instance.
 type Server struct {
 	cfg    Config
@@ -572,8 +508,8 @@ func (s *Server) ServeAdmin(ln net.Listener) net.Addr {
 }
 
 // statusz builds the /statusz document: build identity (what binary is
-// actually deployed, since when, at what width), the classic Stats
-// view, every latency-histogram summary (nanoseconds, keyed like the
+// actually deployed, since when, at what width), the STATS map, every
+// latency-histogram summary (nanoseconds, keyed like the
 // wire STATS hists — "op/READ/json", "tick", "tsdb/append"), flight-
 // recorder counters when tracing is on, and the recent slow-op
 // samples with their trace IDs.
@@ -581,7 +517,7 @@ func (s *Server) statusz() any {
 	doc := struct {
 		Build       telemetry.BuildInfo          `json:"build"`
 		TickWorkers int                          `json:"tick_workers"`
-		Stats       Stats                        `json:"stats"`
+		Stats       map[string]uint64            `json:"stats"`
 		Hists       map[string]telemetry.Summary `json:"hists"`
 		Trace       *tracing.Stats               `json:"trace,omitempty"`
 		SlowOps     []wire.SlowSample            `json:"slow_ops,omitempty"`
@@ -607,46 +543,11 @@ func (s *Server) Addr() net.Addr {
 	return s.ln.Addr()
 }
 
-// Stats returns current counters, read back from the telemetry
-// registry's instruments — one source of truth shared with /metrics.
-func (s *Server) Stats() Stats {
-	hits, misses := s.cache.counters()
-	s.connsMu.Lock()
-	nconns := len(s.conns)
-	s.connsMu.Unlock()
-	st := Stats{
-		Sessions:         s.reg.count(),
-		Connections:      nconns,
-		CacheHits:        hits,
-		CacheMisses:      misses,
-		SnapshotsSent:    s.m.sent[kindSnapshot].Value(),
-		SnapshotsDropped: s.m.dropped[kindSnapshot].Value(),
-		Ticks:            s.m.ticks.Value(),
-		Evictions:        s.m.evictions.Value(),
-		DeadlineTrips:    s.m.deadlineTrips.Value(),
-		Resyncs:          s.m.resyncs.Value(),
-		WriteDrops:       s.m.writeDrops.Value(),
-		TickStalls:       s.m.tickStalls.Value(),
-		DerivedSent:      s.m.sent[kindDerived].Value(),
-		DerivedDropped:   s.m.dropped[kindDerived].Value(),
-		DeltasSent:       s.m.sent[kindDelta].Value(),
-		DeltasDropped:    s.m.dropped[kindDelta].Value(),
-		Keyframes:        s.m.keyframes.Value(),
-		EncodeFailures:   s.m.encodeFailures.Value(),
-		FramesSentJSON:   s.m.framesSent[wire.CodecJSON].Value(),
-		FramesSentBinary: s.m.framesSent[wire.CodecBinary].Value(),
-		BytesSentJSON:    s.m.bytesSent[wire.CodecJSON].Value(),
-		BytesSentBinary:  s.m.bytesSent[wire.CodecBinary].Value(),
-	}
-	if s.hist != nil {
-		st.TSDB = s.hist.Stats()
-	}
-	if s.wal != nil {
-		st.Durable = true
-		st.WAL = s.wal.Stats()
-	}
-	return st
-}
+// Stats returns the wire STATS map: every keyed counter and gauge in
+// the telemetry registry, so each key is also a /metrics series under
+// the same declaration. Components that are off (history, durability,
+// tracing) registered nothing, so their keys are absent.
+func (s *Server) Stats() map[string]uint64 { return s.m.reg.Values() }
 
 // Shutdown gracefully stops the server: no new connections, every
 // running session's final counts folded, every connection closed, the

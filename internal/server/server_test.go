@@ -194,12 +194,12 @@ func TestStress64ConcurrentClients(t *testing.T) {
 		}
 	}
 	st := srv.Stats()
-	if st.Sessions != 0 {
-		t.Errorf("%d sessions left after close", st.Sessions)
+	if st["sessions"] != 0 {
+		t.Errorf("%d sessions left after close", st["sessions"])
 	}
 	// 64 clients requested only 8 distinct (platform, events) pairs, so
 	// the allocation cache must have replayed most solves.
-	if st.CacheHits == 0 {
+	if st["cache_hits"] == 0 {
 		t.Error("no allocation-cache hits across identical event sets")
 	}
 }
@@ -271,11 +271,11 @@ func TestDropOldestPolicy(t *testing.T) {
 		}
 		return resp.Seq
 	}
-	if sub.c.q.push(mk(1)); srv.Stats().WriteDrops != 0 {
+	if sub.c.q.push(mk(1)); srv.Stats()["write_drops"] != 0 {
 		t.Error("dropped on an empty queue")
 	}
 	sub.c.q.push(mk(2))
-	if sub.c.q.push(mk(3)); srv.Stats().WriteDrops != 1 {
+	if sub.c.q.push(mk(3)); srv.Stats()["write_drops"] != 1 {
 		t.Error("no drop reported on a full queue")
 	}
 	got1, got2 := seqOf(pop()), seqOf(pop())
@@ -311,11 +311,11 @@ func TestSlowConsumerDropsViaTick(t *testing.T) {
 		srv.tick()
 	}
 	st := srv.Stats()
-	if st.SnapshotsSent != 3 {
-		t.Errorf("sent %d snapshots, want 3", st.SnapshotsSent)
+	if st["snapshots_sent"] != 3 {
+		t.Errorf("sent %d snapshots, want 3", st["snapshots_sent"])
 	}
-	if st.SnapshotsDropped != 2 {
-		t.Errorf("dropped %d snapshots, want 2", st.SnapshotsDropped)
+	if st["snapshots_dropped"] != 2 {
+		t.Errorf("dropped %d snapshots, want 2", st["snapshots_dropped"])
 	}
 	var latest wire.Response
 	f, _ := stalled.c.q.tryPop()

@@ -51,10 +51,11 @@ func (r *slowRing) samples() []wire.SlowSample {
 	return out
 }
 
-// metrics is the server's instrument set: every counter the old
-// hand-maintained Stats plumbing tracked, now registry-backed so one
-// increment feeds Stats(), the Prometheus /metrics exposition, the
-// /statusz document, and the wire STATS histograms alike.
+// metrics is the server's instrument set. Each instrument is declared
+// once, here or beside the state it reads, and its Opts.Key is its
+// STATS name: one registration feeds the wire STATS map (Stats), the
+// Prometheus /metrics exposition, the /statusz document and papid's
+// shutdown summary alike.
 //
 // Fan-out frame accounting: sent[k] counts frames of kind k handed to
 // a subscriber's connection write queue (deliver), and a fan-out frame
@@ -112,11 +113,11 @@ var opLatencyOps = []string{
 
 func newMetrics(reg *telemetry.Registry) *metrics {
 	m := &metrics{reg: reg}
-	m.ticks = reg.NewCounter(telemetry.Opts{Name: "papid_ticks_total",
+	m.ticks = reg.NewCounter(telemetry.Opts{Name: "papid_ticks_total", Key: "ticks",
 		Help: "Snapshot fan-out ticks run."})
 	for _, k := range []struct {
 		kind frameKind
-		name string // metric family stem
+		name string // metric family and STATS key stem
 		what string // frames, in Help text
 	}{
 		{kindSnapshot, "snapshots", "Snapshot frames (keyframes included)"},
@@ -124,32 +125,33 @@ func newMetrics(reg *telemetry.Registry) *metrics {
 		{kindDerived, "derived", "DERIVED frames"},
 	} {
 		m.sent[k.kind] = reg.NewCounter(telemetry.Opts{Name: "papid_" + k.name + "_sent_total",
-			Help: k.what + " handed to subscriber write queues."})
+			Key: k.name + "_sent", Help: k.what + " handed to subscriber write queues."})
 		m.dropped[k.kind] = reg.NewCounter(telemetry.Opts{Name: "papid_" + k.name + "_dropped_total",
+			Key:  k.name + "_dropped",
 			Help: k.what + " that never reached the socket: shed by a full write queue or failed to encode."})
 	}
-	m.evictions = reg.NewCounter(telemetry.Opts{Name: "papid_evictions_total",
+	m.evictions = reg.NewCounter(telemetry.Opts{Name: "papid_evictions_total", Key: "evictions",
 		Help: "Connections the server cut loose (idle, deadline trips, jammed queues)."})
-	m.deadlineTrips = reg.NewCounter(telemetry.Opts{Name: "papid_deadline_trips_total",
+	m.deadlineTrips = reg.NewCounter(telemetry.Opts{Name: "papid_deadline_trips_total", Key: "deadline_trips",
 		Help: "Read/write deadline expirations that led to an eviction."})
-	m.resyncs = reg.NewCounter(telemetry.Opts{Name: "papid_resyncs_total",
+	m.resyncs = reg.NewCounter(telemetry.Opts{Name: "papid_resyncs_total", Key: "resyncs",
 		Help: "Malformed frames answered with an ERROR frame and skipped."})
-	m.writeDrops = reg.NewCounter(telemetry.Opts{Name: "papid_write_drops_total",
+	m.writeDrops = reg.NewCounter(telemetry.Opts{Name: "papid_write_drops_total", Key: "write_drops",
 		Help: "Fan-out frames of every kind shed by full per-connection write queues."})
-	m.tickStalls = reg.NewCounter(telemetry.Opts{Name: "papid_tick_stalls_total",
+	m.tickStalls = reg.NewCounter(telemetry.Opts{Name: "papid_tick_stalls_total", Key: "tick_stalls",
 		Help: "Ticks that blocked handing a history row to the WAL appender (full queue)."})
-	m.keyframes = reg.NewCounter(telemetry.Opts{Name: "papid_keyframes_sent_total",
+	m.keyframes = reg.NewCounter(telemetry.Opts{Name: "papid_keyframes_sent_total", Key: "keyframes_sent",
 		Help: "Keyframe snapshots enqueued to delta-mode subscribers (cadence, subscribe, or drop resync)."})
-	m.encodeFailures = reg.NewCounter(telemetry.Opts{Name: "papid_encode_failures_total",
+	m.encodeFailures = reg.NewCounter(telemetry.Opts{Name: "papid_encode_failures_total", Key: "encode_failures",
 		Help: "Fan-out frames that failed to serialize (logged once, dropped for every subscriber on the codec)."})
 	for _, codec := range []wire.Codec{wire.CodecJSON, wire.CodecBinary} {
 		label := telemetry.Label{Name: "codec", Value: codec.String()}
 		m.framesSent[codec] = reg.NewCounter(telemetry.Opts{
 			Name: "papid_frames_sent_total", Help: "Outbound frames written, by codec.",
-			Labels: []telemetry.Label{label}})
+			Labels: []telemetry.Label{label}, Key: "frames_sent_" + codec.String()})
 		m.bytesSent[codec] = reg.NewCounter(telemetry.Opts{
 			Name: "papid_bytes_sent_total", Help: "Outbound payload bytes written, by codec.",
-			Labels: []telemetry.Label{label}})
+			Labels: []telemetry.Label{label}, Key: "bytes_sent_" + codec.String()})
 	}
 	m.tickDur = reg.NewLatencyHistogram(telemetry.Opts{
 		Name: "papid_tick_duration_seconds",
@@ -190,15 +192,16 @@ func (m *metrics) observeOp(op string, codec wire.Codec, start time.Time) {
 
 // registerServerFuncs wires the scrape-time views of state that lives
 // outside the instrument set: registry size, live connections, queued
-// frames, allocation-cache totals, and process-level gauges. Called
-// once from New, after the server's components exist.
+// frames, allocation-cache totals, process-level gauges, and the
+// flight recorder's counters when tracing is on. Called once from New,
+// after the server's components exist.
 func (s *Server) registerServerFuncs() {
 	reg := s.m.reg
-	reg.NewGaugeFunc(telemetry.Opts{Name: "papid_sessions",
+	reg.NewGaugeFunc(telemetry.Opts{Name: "papid_sessions", Key: "sessions",
 		Help: "Live sessions."}, func() float64 {
 		return float64(s.reg.count())
 	})
-	reg.NewGaugeFunc(telemetry.Opts{Name: "papid_connections",
+	reg.NewGaugeFunc(telemetry.Opts{Name: "papid_connections", Key: "connections",
 		Help: "Open client connections."}, func() float64 {
 		s.connsMu.Lock()
 		n := len(s.conns)
@@ -220,12 +223,12 @@ func (s *Server) registerServerFuncs() {
 			}
 			return float64(total)
 		})
-	reg.NewCounterFunc(telemetry.Opts{Name: "papid_alloc_cache_hits_total",
+	reg.NewCounterFunc(telemetry.Opts{Name: "papid_alloc_cache_hits_total", Key: "cache_hits",
 		Help: "Allocation-cache hits."}, func() uint64 {
 		hits, _ := s.cache.counters()
 		return hits
 	})
-	reg.NewCounterFunc(telemetry.Opts{Name: "papid_alloc_cache_misses_total",
+	reg.NewCounterFunc(telemetry.Opts{Name: "papid_alloc_cache_misses_total", Key: "cache_misses",
 		Help: "Allocation-cache misses."}, func() uint64 {
 		_, misses := s.cache.counters()
 		return misses
@@ -251,22 +254,24 @@ func (s *Server) registerServerFuncs() {
 		Help: "Seconds since the server was built."}, func() float64 {
 		return time.Since(start).Seconds()
 	})
-	// Flight-recorder counters read straight from the tracer; with
-	// tracing off (nil tracer) TracerStats is zero, so the series
-	// simply read 0 rather than disappearing between configs.
-	reg.NewCounterFunc(telemetry.Opts{Name: "papid_traces_started_total",
+	if s.trc == nil {
+		return
+	}
+	// Flight-recorder counters read straight from the tracer; like the
+	// wal_* series on a durable server, they exist only when it does.
+	reg.NewCounterFunc(telemetry.Opts{Name: "papid_traces_started_total", Key: "trace_started",
 		Help: "Traced units started (ticks, requests, WAL batches)."}, func() uint64 {
 		return s.trc.TracerStats().Started
 	})
-	reg.NewCounterFunc(telemetry.Opts{Name: "papid_traces_retained_total",
+	reg.NewCounterFunc(telemetry.Opts{Name: "papid_traces_retained_total", Key: "trace_retained",
 		Help: "Traces kept in the /tracez ring (head-sampled, slow, or errored)."}, func() uint64 {
 		return s.trc.TracerStats().Retained
 	})
-	reg.NewCounterFunc(telemetry.Opts{Name: "papid_traces_kept_slow_total",
+	reg.NewCounterFunc(telemetry.Opts{Name: "papid_traces_kept_slow_total", Key: "trace_kept_slow",
 		Help: "Traces tail-retained for exceeding the slow threshold."}, func() uint64 {
 		return s.trc.TracerStats().KeptSlow
 	})
-	reg.NewCounterFunc(telemetry.Opts{Name: "papid_traces_kept_err_total",
+	reg.NewCounterFunc(telemetry.Opts{Name: "papid_traces_kept_err_total", Key: "trace_kept_err",
 		Help: "Traces tail-retained for carrying an error."}, func() uint64 {
 		return s.trc.TracerStats().KeptErr
 	})

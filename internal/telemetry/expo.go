@@ -38,28 +38,16 @@ func (r *Registry) WritePrometheus(w io.Writer) error {
 		labels := labelString(inst.desc.labels)
 		switch inst.kind {
 		case kindCounter:
-			v := uint64(0)
-			if inst.counter != nil {
-				v = inst.counter.Value()
-			} else {
-				v = inst.counterFunc()
-			}
 			bw.WriteString(inst.desc.name)
 			bw.WriteString(labels)
 			bw.WriteByte(' ')
-			bw.WriteString(strconv.FormatUint(v, 10))
+			bw.WriteString(strconv.FormatUint(inst.counterValue(), 10))
 			bw.WriteByte('\n')
 		case kindGauge:
-			var v float64
-			if inst.gauge != nil {
-				v = float64(inst.gauge.Value())
-			} else {
-				v = inst.gaugeFunc()
-			}
 			bw.WriteString(inst.desc.name)
 			bw.WriteString(labels)
 			bw.WriteByte(' ')
-			bw.WriteString(strconv.FormatFloat(v, 'g', -1, 64))
+			bw.WriteString(strconv.FormatFloat(inst.gaugeValue(), 'g', -1, 64))
 			bw.WriteByte('\n')
 		case kindHistogram:
 			writeHistogram(bw, inst.desc.name, inst.desc.labels, inst.hist)
@@ -117,6 +105,7 @@ type JSONMetric struct {
 	Name   string            `json:"name"`
 	Labels map[string]string `json:"labels,omitempty"`
 	Kind   string            `json:"kind"`
+	Key    string            `json:"key,omitempty"` // Opts.Key: its STATS name
 	Value  float64           `json:"value,omitempty"`
 	Hist   *Summary          `json:"hist,omitempty"`
 }
@@ -135,7 +124,7 @@ func (r *Registry) WriteJSON(w io.Writer) error {
 func (r *Registry) MetricsJSON() []JSONMetric {
 	var doc []JSONMetric
 	for _, inst := range r.snapshot() {
-		m := JSONMetric{Name: inst.desc.name, Kind: inst.kind.String()}
+		m := JSONMetric{Name: inst.desc.name, Kind: inst.kind.String(), Key: inst.desc.key}
 		if len(inst.desc.labels) > 0 {
 			m.Labels = make(map[string]string, len(inst.desc.labels))
 			for _, l := range inst.desc.labels {
@@ -144,17 +133,9 @@ func (r *Registry) MetricsJSON() []JSONMetric {
 		}
 		switch inst.kind {
 		case kindCounter:
-			if inst.counter != nil {
-				m.Value = float64(inst.counter.Value())
-			} else {
-				m.Value = float64(inst.counterFunc())
-			}
+			m.Value = float64(inst.counterValue())
 		case kindGauge:
-			if inst.gauge != nil {
-				m.Value = float64(inst.gauge.Value())
-			} else {
-				m.Value = inst.gaugeFunc()
-			}
+			m.Value = inst.gaugeValue()
 		case kindHistogram:
 			sum := inst.hist.Summary()
 			m.Hist = &sum

@@ -22,9 +22,9 @@
 //
 // A Registry owns a set of named instruments and renders them as
 // Prometheus text exposition (WritePrometheus), as JSON (WriteJSON for
-// /statusz), and as compact wire summaries (Summaries) that ride the
-// papid STATS op so remote tools can see the daemon's own latency
-// quantiles.
+// /statusz), and as the compact keyed views that ride the papid STATS
+// op — counter and gauge values (Values) and latency quantiles
+// (Summaries) — so remote tools see the daemon's own numbers.
 package telemetry
 
 import (
@@ -101,9 +101,7 @@ type desc struct {
 	name   string
 	help   string
 	labels []Label
-	// key, when non-empty, names this instrument in Summaries() — the
-	// compact identifier that rides the wire STATS op.
-	key string
+	key    string // Opts.Key
 }
 
 // Label is one fixed name="value" pair attached to an instrument.
@@ -138,9 +136,12 @@ type Opts struct {
 	// Labels are fixed label pairs distinguishing this instrument from
 	// others in the same family (e.g. codec="json").
 	Labels []Label
-	// Key, when non-empty, includes the instrument in
-	// Registry.Summaries under this compact name — the identifier wire
-	// STATS clients see (e.g. "op/READ/json").
+	// Key, when non-empty, is the instrument's compact name on the
+	// wire STATS op: counters and gauges appear under it in
+	// Registry.Values (e.g. "snapshots_sent"), histograms in
+	// Registry.Summaries (e.g. "op/READ/json"). Keys are unique per
+	// registry, so the one registration declares both the /metrics
+	// series and the STATS entry.
 	Key string
 }
 
@@ -160,6 +161,22 @@ type instrument struct {
 	hist        *Histogram
 	counterFunc func() uint64
 	gaugeFunc   func() float64
+}
+
+// counterValue reads a counter instrument, striped or func-backed.
+func (inst *instrument) counterValue() uint64 {
+	if inst.counter != nil {
+		return inst.counter.Value()
+	}
+	return inst.counterFunc()
+}
+
+// gaugeValue reads a gauge instrument, settable or func-backed.
+func (inst *instrument) gaugeValue() float64 {
+	if inst.gauge != nil {
+		return float64(inst.gauge.Value())
+	}
+	return inst.gaugeFunc()
 }
 
 type kind uint8
@@ -196,9 +213,9 @@ func NewRegistry() *Registry {
 }
 
 // register validates and stores inst, panicking on a duplicate
-// (name, labels) identity or a kind clash within a family —
-// registration is programmer-controlled startup code, where a silent
-// collision would corrupt the exposition.
+// (name, labels) identity, a duplicate key, or a kind clash within a
+// family — registration is programmer-controlled startup code, where a
+// silent collision would corrupt the exposition or the STATS map.
 func (r *Registry) register(inst *instrument) {
 	id := inst.desc.name + labelString(inst.desc.labels)
 	r.mu.Lock()
@@ -210,6 +227,10 @@ func (r *Registry) register(inst *instrument) {
 		if other.desc.name == inst.desc.name && other.kind != inst.kind {
 			panic(fmt.Sprintf("telemetry: %s registered as both %s and %s",
 				inst.desc.name, other.kind, inst.kind))
+		}
+		if inst.desc.key != "" && other.desc.key == inst.desc.key {
+			panic(fmt.Sprintf("telemetry: key %q names both %s and %s",
+				inst.desc.key, other.desc.name+labelString(other.desc.labels), id))
 		}
 	}
 	r.byID[id] = inst
@@ -274,6 +295,25 @@ func (r *Registry) snapshot() []*instrument {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	return append([]*instrument(nil), r.insts...)
+}
+
+// Values returns the current value of every keyed counter and gauge —
+// the wire STATS map. Gauge readings are truncated to whole numbers
+// (a negative level reads 0).
+func (r *Registry) Values() map[string]uint64 {
+	out := make(map[string]uint64)
+	for _, inst := range r.snapshot() {
+		if inst.desc.key == "" {
+			continue
+		}
+		switch inst.kind {
+		case kindCounter:
+			out[inst.desc.key] = inst.counterValue()
+		case kindGauge:
+			out[inst.desc.key] = uint64(max(inst.gaugeValue(), 0))
+		}
+	}
+	return out
 }
 
 // Summaries returns the quantile summary of every keyed histogram with

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"log/slog"
 	"net/http/httptest"
+	"reflect"
 	"strconv"
 	"strings"
 	"testing"
@@ -150,6 +151,33 @@ func TestSummariesKeyedOnly(t *testing.T) {
 	if got := s["op/READ/json"]; got.Count != 1 || got.Max != 10 {
 		t.Errorf("summary = %+v", got)
 	}
+}
+
+// TestValuesKeyedCountersAndGauges: Values carries every keyed counter
+// and gauge — striped, func-backed and labelled alike — and nothing
+// unkeyed or histogram-shaped; a second instrument claiming a key
+// panics instead of silently shadowing the first.
+func TestValuesKeyedCountersAndGauges(t *testing.T) {
+	reg := NewRegistry()
+	reg.NewCounter(Opts{Name: "striped_total", Key: "striped"}).Add(3)
+	reg.NewCounterFunc(Opts{Name: "func_total", Key: "func"}, func() uint64 { return 7 })
+	reg.NewGaugeFunc(Opts{Name: "level", Key: "level"}, func() float64 { return 12.9 })
+	reg.NewGaugeFunc(Opts{Name: "negative", Key: "negative"}, func() float64 { return -4 })
+	reg.NewCounter(Opts{Name: "frames_total", Labels: []Label{{"codec", "json"}},
+		Key: "frames_json"}).Inc()
+	reg.NewCounter(Opts{Name: "frames_total", Labels: []Label{{"codec", "binary"}}}).Inc()
+	reg.NewCounter(Opts{Name: "unkeyed_total"}).Inc()
+	reg.NewHistogram(Opts{Name: "h", Key: "h"}).Observe(10)
+	want := map[string]uint64{"striped": 3, "func": 7, "level": 12, "negative": 0, "frames_json": 1}
+	if got := reg.Values(); !reflect.DeepEqual(got, want) {
+		t.Errorf("Values() = %v, want %v", got, want)
+	}
+	defer func() {
+		if recover() == nil {
+			t.Error("duplicate key did not panic")
+		}
+	}()
+	reg.NewGauge(Opts{Name: "other", Key: "striped"})
 }
 
 func TestRegistryDuplicatePanics(t *testing.T) {

@@ -140,28 +140,18 @@ func New(cfg Config) *Store {
 			Name: "papid_tsdb_query_seconds",
 			Help: "History query latency per QUERY.",
 			Key:  "tsdb/query"})
-		reg.NewGaugeFunc(telemetry.Opts{Name: "papid_tsdb_bytes",
+		reg.NewGaugeFunc(telemetry.Opts{Name: "papid_tsdb_bytes", Key: "tsdb_bytes",
 			Help: "History store budget charge in bytes."}, func() float64 {
 			return float64(s.bytes.Load())
 		})
-		reg.NewGaugeFunc(telemetry.Opts{Name: "papid_tsdb_series",
+		reg.NewGaugeFunc(telemetry.Opts{Name: "papid_tsdb_series", Key: "tsdb_series",
 			Help: "Live history series."}, func() float64 {
-			n := 0
-			for i := range s.shards {
-				s.shards[i].mu.RLock()
-				n += len(s.shards[i].m)
-				s.shards[i].mu.RUnlock()
-			}
-			return float64(n)
+			return float64(s.seriesCount())
 		})
-		reg.NewCounterFunc(telemetry.Opts{Name: "papid_tsdb_samples_total",
-			Help: "Samples ever appended to the history store."}, func() uint64 {
-			return s.samples.Load()
-		})
-		reg.NewCounterFunc(telemetry.Opts{Name: "papid_tsdb_evictions_total",
-			Help: "History eviction events (budget and retention)."}, func() uint64 {
-			return s.evictions.Load()
-		})
+		reg.NewCounterFunc(telemetry.Opts{Name: "papid_tsdb_samples_total", Key: "tsdb_samples",
+			Help: "Samples ever appended to the history store."}, s.samples.Load)
+		reg.NewCounterFunc(telemetry.Opts{Name: "papid_tsdb_evictions_total", Key: "tsdb_evictions",
+			Help: "History eviction events (budget and retention)."}, s.evictions.Load)
 	}
 	return s
 }
@@ -472,16 +462,21 @@ func (s *Store) Sweep(now int64) (evicted int64) {
 
 // Stats returns current counters.
 func (s *Store) Stats() Stats {
+	return Stats{
+		Bytes:     s.bytes.Load(),
+		Series:    s.seriesCount(),
+		Samples:   s.samples.Load(),
+		Evictions: s.evictions.Load(),
+	}
+}
+
+// seriesCount counts live series across the shards.
+func (s *Store) seriesCount() int {
 	n := 0
 	for i := range s.shards {
 		s.shards[i].mu.RLock()
 		n += len(s.shards[i].m)
 		s.shards[i].mu.RUnlock()
 	}
-	return Stats{
-		Bytes:     s.bytes.Load(),
-		Series:    n,
-		Samples:   s.samples.Load(),
-		Evictions: s.evictions.Load(),
-	}
+	return n
 }

@@ -315,59 +315,64 @@ func (l *Log) registerTelemetry(reg *telemetry.Registry) {
 		Key:  "wal/fsync",
 	})
 	reg.NewCounterFunc(telemetry.Opts{
-		Name: "papid_wal_rows_total",
+		Name: "papid_wal_rows_total", Key: "wal_rows",
 		Help: "Tick rows appended to the write-ahead log.",
 	}, l.rows.Load)
 	reg.NewCounterFunc(telemetry.Opts{
-		Name: "papid_wal_fsyncs_total",
+		Name: "papid_wal_fsyncs_total", Key: "wal_fsyncs",
 		Help: "fsync calls issued by the durability layer.",
 	}, l.fsyncs.Load)
 	reg.NewCounterFunc(telemetry.Opts{
-		Name: "papid_wal_sealed_blocks_total",
+		Name: "papid_wal_sealed_blocks_total", Key: "wal_sealed_blocks",
 		Help: "Sealed blocks persisted into segment files.",
 	}, l.sealed.Load)
 	reg.NewCounterFunc(telemetry.Opts{
-		Name: "papid_wal_compactions_total",
+		Name: "papid_wal_compactions_total", Key: "wal_compactions",
 		Help: "Segment compaction passes that rewrote data.",
 	}, l.compactions.Load)
 	reg.NewCounterFunc(telemetry.Opts{
-		Name: "papid_wal_truncated_files_total",
+		Name: "papid_wal_truncated_files_total", Key: "wal_truncated_files",
 		Help: "WAL files deleted after their rows were sealed.",
 	}, l.truncated.Load)
 	reg.NewCounterFunc(telemetry.Opts{
-		Name: "papid_wal_write_errors_total",
+		Name: "papid_wal_write_errors_total", Key: "wal_write_errors",
 		Help: "WAL or segment write failures (appends continue in RAM).",
 	}, l.writeErrs.Load)
 	reg.NewCounterFunc(telemetry.Opts{
-		Name: "papid_wal_replayed_rows_total",
+		Name: "papid_wal_replayed_rows_total", Key: "wal_replayed_rows",
 		Help: "WAL rows re-appended during startup replay.",
 	}, func() uint64 { return l.replay.Rows })
 	reg.NewCounterFunc(telemetry.Opts{
-		Name: "papid_wal_torn_records_total",
+		Name: "papid_wal_replayed_blocks_total", Key: "wal_replayed_blocks",
+		Help: "Raw blocks installed from segment files during startup replay.",
+	}, func() uint64 { return uint64(l.replay.Blocks) })
+	reg.NewCounterFunc(telemetry.Opts{
+		Name: "papid_wal_torn_records_total", Key: "wal_torn_records",
 		Help: "Records discarded as torn or corrupt during replay.",
 	}, func() uint64 { return uint64(l.replay.TornRecords) })
 	reg.NewGaugeFunc(telemetry.Opts{
-		Name: "papid_wal_segments",
-		Help: "Live sealed segment files.",
+		Name: "papid_wal_clean_start", Key: "wal_clean_start",
+		Help: "1 when startup took the clean-shutdown fast path and replayed nothing, else 0.",
 	}, func() float64 {
-		l.segMu.Lock()
-		defer l.segMu.Unlock()
-		n := len(l.segs)
-		if l.sw != nil {
-			n++
+		if l.replay.CleanStart {
+			return 1
 		}
-		return float64(n)
+		return 0
 	})
 	reg.NewGaugeFunc(telemetry.Opts{
-		Name: "papid_wal_pending_blocks",
+		Name: "papid_wal_files", Key: "wal_files",
+		Help: "Live WAL files, the active one included.",
+	}, func() float64 { return float64(l.walFileCount()) })
+	reg.NewGaugeFunc(telemetry.Opts{
+		Name: "papid_wal_segments", Key: "wal_segments",
+		Help: "Live sealed segment files.",
+	}, func() float64 { return float64(l.segmentCount()) })
+	reg.NewGaugeFunc(telemetry.Opts{
+		Name: "papid_wal_pending_blocks", Key: "wal_pending_blocks",
 		Help: "Sealed blocks whose segment write failed, awaiting retry.",
-	}, func() float64 {
-		l.segMu.Lock()
-		defer l.segMu.Unlock()
-		return float64(len(l.pending))
-	})
+	}, func() float64 { return float64(l.pendingBlocks()) })
 	reg.NewGaugeFunc(telemetry.Opts{
-		Name: "papid_wal_disk_bytes",
+		Name: "papid_wal_disk_bytes", Key: "wal_disk_bytes",
 		Help: "Bytes on disk across WAL and segment files.",
 	}, func() float64 { return float64(l.diskBytes()) })
 }
@@ -906,30 +911,50 @@ func (l *Log) diskBytes() int64 {
 
 // Stats snapshots the log's counters.
 func (l *Log) Stats() Stats {
-	st := Stats{
+	return Stats{
 		Rows:              l.rows.Load(),
 		Fsyncs:            l.fsyncs.Load(),
 		SealedBlocks:      l.sealed.Load(),
 		Compactions:       l.compactions.Load(),
 		TruncatedWALFiles: l.truncated.Load(),
 		WriteErrors:       l.writeErrs.Load(),
-		Replay:            l.replay,
+		WALFiles:          l.walFileCount(),
+		Segments:          l.segmentCount(),
+		PendingBlocks:     l.pendingBlocks(),
 		DiskBytes:         l.diskBytes(),
+		Replay:            l.replay,
 	}
+}
+
+// walFileCount counts live WAL files: the superseded ones awaiting
+// truncation plus the active one.
+func (l *Log) walFileCount() int {
 	l.mu.Lock()
-	st.WALFiles = len(l.oldWALs)
+	defer l.mu.Unlock()
+	n := len(l.oldWALs)
 	if l.wf != nil {
-		st.WALFiles++
+		n++
 	}
-	l.mu.Unlock()
+	return n
+}
+
+// segmentCount counts live segment files: the sealed ones plus the
+// active one being written.
+func (l *Log) segmentCount() int {
 	l.segMu.Lock()
-	st.Segments = len(l.segs)
+	defer l.segMu.Unlock()
+	n := len(l.segs)
 	if l.sw != nil {
-		st.Segments++
+		n++
 	}
-	st.PendingBlocks = len(l.pending)
-	l.segMu.Unlock()
-	return st
+	return n
+}
+
+// pendingBlocks counts sealed blocks awaiting a segment-write retry.
+func (l *Log) pendingBlocks() int {
+	l.segMu.Lock()
+	defer l.segMu.Unlock()
+	return len(l.pending)
 }
 
 // Close drains the log gracefully: every active block is sealed and

@@ -24,8 +24,10 @@ go -C papidbench test ./...
 # that never drains) should fail here fast instead of eating the
 # 10-minute budget above. The frame-ledger conservation and
 # subscription-goroutine tests ride along: both pin properties of the
-# one-queue-per-connection fan-out the chaos peers stress.
-go test -race -timeout 2m -run 'TestChaos|TestDoTimeout|TestReconn|TestDialRetry|TestFanoutLedgerConservation|TestSubscribeAddsNoGoroutines' -count=2 ./internal/server/
+# one-queue-per-connection fan-out the chaos peers stress. The STATS
+# golden and one-declaration agreement tests ride along too: they read
+# counters while writer goroutines and the WAL fsync loop still run.
+go test -race -timeout 2m -run 'TestChaos|TestDoTimeout|TestReconn|TestDialRetry|TestFanoutLedgerConservation|TestSubscribeAddsNoGoroutines|TestStatsGolden|TestStatsAgreeWithMetrics' -count=2 ./internal/server/
 # One-iteration benchmark smoke: catches benchmarks that no longer
 # compile or crash, without paying for a real measurement run.
 go test -run='^$' -bench=. -benchtime=1x ./...
@@ -76,6 +78,8 @@ for family in papid_sessions papid_connections papid_write_queue_frames \
 done
 statusz=$(curl -sf http://127.0.0.1:61780/statusz)
 echo "$statusz" | grep -q '"stats"' || { echo "/statusz lacks stats" >&2; exit 1; }
+echo "$statusz" | grep -q '"snapshots_sent"' || {
+    echo "/statusz stats is not the STATS map" >&2; exit 1; }
 echo "$statusz" | grep -q '"hists"' || { echo "/statusz lacks hists" >&2; exit 1; }
 echo "$statusz" | grep -q '"build"' || { echo "/statusz lacks build info" >&2; exit 1; }
 echo "$statusz" | grep -q '"tick_workers"' || { echo "/statusz lacks tick_workers" >&2; exit 1; }
@@ -116,6 +120,13 @@ for i in $(seq 1 50); do
     sleep 0.1
 done
 [ -n "$recovered" ] || { echo "history did not survive kill -9" >&2; exit 1; }
+# The restart's STATS carry the WAL's replay instruments, and replay
+# re-appended the rows the SIGKILL left only in the journal.
+wal_stats=$(/tmp/perfometer-ci-smoke -papid 127.0.0.1:61781 -stats)
+echo "$wal_stats" | grep -q '^ *wal_clean_start ' || {
+    echo "STATS after restart lacks wal_clean_start:" >&2; echo "$wal_stats" >&2; exit 1; }
+echo "$wal_stats" | grep -Eq '^ *wal_replayed_rows +[1-9]' || {
+    echo "STATS after kill -9 restart shows no replayed rows:" >&2; echo "$wal_stats" >&2; exit 1; }
 kill $wal_pid
 wait $wal_pid 2>/dev/null || true
 echo "durability smoke OK"
@@ -247,7 +258,15 @@ for span in dispatch tsdb.append fanout derive write; do
     printf '%s' "$pub_chrome" | grep -q "\"$span\"" || {
         echo "PUBLISH chrome export lacks stage span $span" >&2; exit 1; }
 done
-tick_id=$(printf '%s' "$tracez" | sed -n 's/.*"id":"\([0-9a-f]\{16\}\)","kind":"tick".*/\1/p')
+# The first tick fires one -tick (50ms) after startup, which a fast
+# publisher can beat: poll the ring until a tick trace is in it.
+tick_id=""
+for i in $(seq 1 50); do
+    tick_id=$(curl -sf "http://127.0.0.1:61786/tracez?format=json" |
+        sed -n 's/.*"id":"\([0-9a-f]\{16\}\)","kind":"tick".*/\1/p')
+    [ -n "$tick_id" ] && break
+    sleep 0.1
+done
 [ -n "$tick_id" ] || { echo "/tracez lists no tick trace" >&2; exit 1; }
 tick_chrome=$(curl -sf "http://127.0.0.1:61786/debug/trace?id=$tick_id&format=chrome")
 for span in shard tsdb.sweep; do
