@@ -67,7 +67,7 @@ func main() {
 	shards := flag.Int("shards", 16, "session-registry shard count")
 	cacheSize := flag.Int("cache", 256, "allocation-cache entries")
 	tick := flag.Duration("tick", 50*time.Millisecond, "snapshot fan-out interval")
-	tickWorkers := flag.Int("tick-workers", 0, "parallel tick sweep width; 0 picks min(GOMAXPROCS, shards), 1 runs the serial pipeline")
+	tickWorkers := flag.Int("tick-workers", 0, "tick sweep width: the tick goroutine plus N-1 helpers spawned per tick; 0 picks min(GOMAXPROCS, shards)")
 	keyframeEvery := flag.Int("keyframe-every", 10, "full keyframe cadence for delta-mode subscribers, in fan-outs per view")
 	readIdle := flag.Duration("read-idle", 2*time.Minute, "evict a connection idle this long with no subscription (0 disables)")
 	writeTimeout := flag.Duration("write-timeout", 10*time.Second, "per-frame write deadline; a trip evicts the connection (0 disables)")

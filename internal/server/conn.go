@@ -357,47 +357,36 @@ func (s *Server) handle(nc net.Conn) {
 		// always; deep stage spans (PUBLISH history/fan-out/derive) hang
 		// off c.trc. Only the ID is read after the frame is enqueued —
 		// the writer goroutine finishes (and may recycle) the trace.
+		// With tracing off t is nil, tid 0 and every span call a no-op.
 		t := s.trc.Start("request", req.Op)
-		var tid uint64
-		var ok bool
-		var resp wire.Response
-		if t == nil {
-			resp = s.dispatch(c, &req)
-			ok = c.send(resp)
-		} else {
-			tid = t.ID()
-			t.AnnotateInt(tracing.NoSpan, "conn", int64(c.id))
-			if req.Session != 0 {
-				t.AnnotateInt(tracing.NoSpan, "session", int64(req.Session))
-			}
-			c.trc = t
-			dsp := t.StartSpan(tracing.NoSpan, "dispatch")
-			resp = s.dispatch(c, &req)
-			t.EndSpan(dsp)
-			c.trc = nil
-			if !resp.OK && resp.Error != "" {
-				t.SetError(resp.Error)
-			}
-			// The reply names its trace for v4+ peers only: older binary
-			// decoders reject unknown presence bits, older JSON clients
-			// reject unknown fields in strict harnesses.
-			if c.version.Load() >= int32(wire.MinProtocolTrace) {
-				resp.TraceID = tid
-			}
-			wr := t.StartSpan(tracing.NoSpan, "write")
-			ok = c.sendTraced(resp, t, wr)
+		tid := t.ID()
+		t.AnnotateInt(tracing.NoSpan, "conn", int64(c.id))
+		if req.Session != 0 {
+			t.AnnotateInt(tracing.NoSpan, "session", int64(req.Session))
 		}
+		c.trc = t
+		dsp := t.StartSpan(tracing.NoSpan, "dispatch")
+		resp := s.dispatch(c, &req)
+		t.EndSpan(dsp)
+		c.trc = nil
+		if !resp.OK && resp.Error != "" {
+			t.SetError(resp.Error)
+		}
+		// The reply names its trace for v4+ peers only: older binary
+		// decoders reject unknown presence bits, older JSON clients
+		// reject unknown fields in strict harnesses.
+		if c.version.Load() >= int32(wire.MinProtocolTrace) {
+			resp.TraceID = tid
+		}
+		ok := c.sendTraced(resp, t, t.StartSpan(tracing.NoSpan, "write"))
 		s.m.observeOp(req.Op, c.codecNow(), t0)
 		if d := s.cfg.SlowOp; d > 0 {
 			if elapsed := time.Since(t0); elapsed >= d {
+				attrs := []any{"op", req.Op, "session", req.Session, "dur", elapsed.String()}
 				if tid != 0 {
-					c.log.Warn("papid: slow op", "op", req.Op,
-						"session", req.Session, "dur", elapsed.String(),
-						"trace", tracing.FormatID(tid))
-				} else {
-					c.log.Warn("papid: slow op", "op", req.Op,
-						"session", req.Session, "dur", elapsed.String())
+					attrs = append(attrs, "trace", tracing.FormatID(tid))
 				}
+				c.log.Warn("papid: slow op", attrs...)
 				s.slowOps.record(req.Op, req.Session, elapsed.Nanoseconds(), tid)
 			}
 		}

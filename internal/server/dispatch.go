@@ -10,6 +10,7 @@ import (
 	"repro/internal/derive"
 	"repro/internal/telemetry/tracing"
 	"repro/internal/tsdb"
+	"repro/internal/tsdb/wal"
 	"repro/internal/wire"
 	"repro/papi"
 	"repro/workload"
@@ -72,7 +73,8 @@ func (s *Server) dispatch(c *conn, req *wire.Request) wire.Response {
 			// fan-out encodes, or the derive evaluation ate the budget.
 			t := c.reqTrace()
 			hs := t.StartSpan(tracing.NoSpan, "tsdb.append")
-			s.appendHistory(sess.id, now, snap.Events, snap.Values)
+			s.appendHistory(wal.Row{Session: sess.id, TS: now,
+				Events: snap.Events, Vals: snap.Values})
 			t.EndSpan(hs)
 			fs := t.StartSpan(tracing.NoSpan, "fanout")
 			t.AnnotateInt(fs, "subs", int64(len(subs)))

@@ -7,6 +7,7 @@ import (
 	"os"
 	"path/filepath"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -152,6 +153,82 @@ func TestDurableRestartAfterCrash(t *testing.T) {
 	stats := srv2.dispatch(nil, &wire.Request{Op: wire.OpStats})
 	if stats.Stats["wal_replayed_rows"] == 0 {
 		t.Errorf("wal_replayed_rows missing after crash replay: %v", stats.Stats)
+	}
+}
+
+// TestDurablePublishAckIsFsynced: under Fsync "always" a PUBLISH ack
+// means the row is journaled and fsynced. Every acked PUBLISH to a
+// served durable server adds at least one fsync, and a crash right
+// after the last ack (wal.Abandon: no seal, no truncate, no marker)
+// loses none of the acked rows.
+func TestDurablePublishAckIsFsynced(t *testing.T) {
+	const n = 64
+	dir := t.TempDir()
+	var clock atomic.Int64
+	clock.Store(1_000_000)
+	cfg := Config{
+		TickInterval:  time.Hour,
+		TSDBRetention: -1,
+		DataDir:       dir,
+		Fsync:         "always",
+		now:           func() int64 { return clock.Add(10_000) },
+	}
+	srv := New(cfg)
+	addr, err := srv.Listen("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	cl := dialT(t, addr.String())
+	created, err := cl.Do(wire.Request{Op: wire.OpCreate, Workload: "none", Label: "acked"})
+	if err != nil || !created.OK {
+		t.Fatalf("create: %v %s", err, created.Error)
+	}
+	id := created.Session
+	events := []string{"PAPI_TOT_CYC", "PAPI_FP_OPS"}
+	before := srv.Stats()["wal_fsyncs"]
+	for i := 0; i < n; i++ {
+		resp, err := cl.Do(wire.Request{Op: wire.OpPublish, Session: id,
+			Events: events, Values: []int64{int64(i) * 3, int64(i) * 7}})
+		if err != nil || !resp.OK {
+			t.Fatalf("publish %d: %v %s", i, err, resp.Error)
+		}
+	}
+	if got := srv.Stats()["wal_fsyncs"] - before; got < n {
+		t.Errorf("wal_fsyncs grew by %d over %d acked PUBLISHes, want >= %d", got, n, n)
+	}
+	srv.wal.Abandon()
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	if err := srv.Shutdown(ctx); err != nil {
+		t.Fatalf("Shutdown: %v", err)
+	}
+
+	srv2 := New(cfg)
+	if srv2.walErr != nil {
+		t.Fatalf("wal reopen: %v", srv2.walErr)
+	}
+	defer srv2.Shutdown(context.Background())
+	resp := srv2.dispatch(nil, &wire.Request{Op: wire.OpQuery, Session: id,
+		From: 0, To: 1 << 60, Step: 0})
+	if !resp.OK {
+		t.Fatal(resp.Error)
+	}
+	if len(resp.Series) != len(events) {
+		t.Fatalf("replayed %d series, want %d", len(resp.Series), len(events))
+	}
+	for _, series := range resp.Series {
+		mul := int64(3)
+		if series.Event == "PAPI_FP_OPS" {
+			mul = 7
+		}
+		if len(series.Buckets) != n {
+			t.Fatalf("%s: replayed %d of %d acked rows", series.Event, len(series.Buckets), n)
+		}
+		for i, bk := range series.Buckets {
+			if bk.Last != int64(i)*mul {
+				t.Fatalf("%s row %d = %d, want %d", series.Event, i, bk.Last, int64(i)*mul)
+			}
+		}
 	}
 }
 

@@ -100,10 +100,7 @@ func (e *encCache) done() {
 // t/parent thread the enclosing trace (tick or PUBLISH request) so
 // detailed traces record per-codec encode spans; both may be nil/zero.
 func (s *Server) fanout(t *tracing.Trace, parent tracing.SpanRef, sess *session, resp wire.Response, subs []*subscriber) {
-	enc := encCache{resp: &resp}
-	if t.Detailed() {
-		enc.trc, enc.parent = t, parent
-	}
+	enc := encCache{resp: &resp, trc: t.Detail(), parent: parent}
 	vp := viewSubsPool.Get().(*[]*subscriber)
 	viewSubs := (*vp)[:0]
 	for _, sub := range subs {
@@ -168,10 +165,7 @@ func (s *Server) fanoutDerived(t *tracing.Trace, parent tracing.SpanRef, sess *s
 			// so nothing engine-owned escapes.
 			resp := wire.Response{Op: wire.OpDerived, OK: true, Session: snap.Session,
 				Seq: snap.Seq, Metrics: metrics, Units: units, DValues: vals}
-			enc := encCache{resp: &resp}
-			if t.Detailed() {
-				enc.trc, enc.parent = t, parent
-			}
+			enc := encCache{resp: &resp, trc: t.Detail(), parent: parent}
 			for _, sub := range subs {
 				if sub.c.version.Load() >= wire.MinProtocolDerived {
 					s.deliver(&enc, kindDerived, sub)

@@ -214,10 +214,7 @@ func (s *Server) fanoutView(t *tracing.Trace, parent tracing.SpanRef, vs *viewSt
 	} else {
 		resp.Events, resp.Values, resp.RealUsec, resp.Source = vs.events, vs.cur, snap.RealUsec, snap.Source
 	}
-	enc := encCache{resp: &resp}
-	if t.Detailed() {
-		enc.trc, enc.parent = t, parent
-	}
+	enc := encCache{resp: &resp, trc: t.Detail(), parent: parent}
 	for _, sub := range subs {
 		s.deliver(&enc, kind, sub)
 	}

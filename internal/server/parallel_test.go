@@ -111,9 +111,9 @@ func TestParallelTickSeqMonotonic(t *testing.T) {
 
 // TestParallelSerialEquivalence: a TickWorkers=1 server and a
 // TickWorkers=8 server fed identical inputs produce byte-identical
-// per-subscriber frame streams. Width 1 is the exact pre-parallel
-// serial pipeline; this pins that higher widths change scheduling
-// only, never any session's stream content or order.
+// per-subscriber frame streams. Width 1 sweeps every shard on the
+// tick goroutine in order; this pins that higher widths change
+// scheduling only, never any session's stream content or order.
 func TestParallelSerialEquivalence(t *testing.T) {
 	const nSessions, nTicks = 16, 6
 	run := func(workers int) map[uint64][]string {
@@ -274,7 +274,6 @@ func TestAsyncWALHandoffDurable(t *testing.T) {
 		TSDBRetention: -1,
 		DataDir:       dir,
 		Fsync:         "off",
-		WALQueueRows:  4, // tiny queue: batches and (likely) stalls both exercised
 	}
 	srv, addr := startServer(t, cfg)
 	cl := dialT(t, addr)

@@ -80,18 +80,13 @@ type Config struct {
 	// (default 50ms).
 	TickInterval time.Duration
 	// TickWorkers is the parallel tick sweep width (papid
-	// -tick-workers): registry shards are partitioned across this many
-	// workers each tick, every worker running the full
-	// snapshot→history→encode→fan-out unit for its shards' sessions.
-	// Default min(GOMAXPROCS, Shards); 1 runs the exact serial
-	// pipeline. See tick.go and DESIGN.md S31.
+	// -tick-workers): each tick, registry shards are partitioned across
+	// the tick goroutine and TickWorkers-1 helpers spawned for that
+	// tick, every one running the full snapshot→history→encode→fan-out
+	// unit for its shards' sessions. Default min(GOMAXPROCS, Shards); 1
+	// sweeps on the tick goroutine alone. See tick.go and DESIGN.md
+	// S31.
 	TickWorkers int
-	// WALQueueRows bounds the async WAL handoff queue on a durable
-	// server (default 256): tick rows queue here and a dedicated
-	// appender goroutine journals them in per-tick batches, off the
-	// tick's critical path. A full queue stalls the tick (counted in
-	// tick_stalls) rather than dropping rows.
-	WALQueueRows int
 	// KeyframeEvery is the delta-subscription keyframe cadence: every
 	// Nth fan-out of a delta view is a full SNAPSHOT keyframe even
 	// without drops, bounding both delta growth within an epoch and how
@@ -210,9 +205,6 @@ func (c *Config) fill() {
 	if c.TickWorkers < 1 {
 		c.TickWorkers = 1
 	}
-	if c.WALQueueRows <= 0 {
-		c.WALQueueRows = 256
-	}
 	if c.KeyframeEvery <= 0 {
 		c.KeyframeEvery = 10
 	}
@@ -290,17 +282,12 @@ type Server struct {
 	adminMu sync.Mutex
 	admin   *http.Server
 
-	// tickWork hands tick jobs to the pool of persistent sweep workers
-	// (tick.go); unbuffered, so a worker either takes a job now or the
-	// tick spawns an ephemeral helper instead.
-	tickWork chan *tickJob
-
 	// The async WAL handoff (tick.go): tick rows queue on histCh and
 	// the histLoop appender journals them in batches. All nil/false on
 	// non-durable servers and until Serve starts the appender; histOn
 	// is the producers' switch, histStarted/histQuitOnce the shutdown
 	// handshake.
-	histCh       chan histRow
+	histCh       chan wal.Row
 	histQuit     chan struct{}
 	histDone     chan struct{}
 	histQuitOnce sync.Once
@@ -403,9 +390,8 @@ func New(cfg Config) *Server {
 			s.hist = tsdb.New(histCfg)
 		}
 	}
-	s.tickWork = make(chan *tickJob)
 	if s.wal != nil {
-		s.histCh = make(chan histRow, cfg.WALQueueRows)
+		s.histCh = make(chan wal.Row, walQueueRows)
 		s.histQuit = make(chan struct{})
 		s.histDone = make(chan struct{})
 	}
@@ -455,10 +441,6 @@ func (s *Server) Serve(ln net.Listener) net.Addr {
 		s.histStarted = true
 		s.histOn.Store(true)
 		go s.histLoop()
-	}
-	for i := 1; i < s.cfg.TickWorkers; i++ {
-		s.wg.Add(1)
-		go s.tickWorker(i)
 	}
 	s.wg.Add(2)
 	go s.acceptLoop()
@@ -588,9 +570,10 @@ func (s *Server) Shutdown(ctx context.Context) error {
 		err = ctx.Err()
 	}
 	// The WAL appender quits after every producer has: the tick loop
-	// and workers joined above, so closing histQuit lets histLoop
-	// journal what is still queued and exit before the WAL closes
-	// beneath it. Bounded by ctx like the drain itself.
+	// (whose sweep helpers never outlive a tick) joined above, so
+	// closing histQuit lets histLoop journal what is still queued and
+	// exit before the WAL closes beneath it. Bounded by ctx like the
+	// drain itself.
 	if s.histStarted {
 		s.histQuitOnce.Do(func() { close(s.histQuit) })
 		select {
@@ -663,39 +646,40 @@ func (s *Server) tick() {
 	// derive alert). t is nil with tracing off — every span call
 	// no-ops.
 	t := s.trc.Start("tick", "tick")
-	now := s.cfg.now()
-	if s.cfg.TickWorkers > 1 {
-		s.tickParallel(now, t)
-	} else {
-		sp := t.StartSpan(tracing.NoSpan, "sweep")
-		n := 0
-		s.reg.forEach(func(sess *session) { n++; s.tickSession(sess, now, t, sp) })
-		if t != nil {
-			t.AnnotateInt(sp, "sessions", int64(n))
-			t.EndSpan(sp)
-		}
+	// The sweep (tick.go): the tick goroutine is worker 0, and
+	// TickWorkers-1 helpers join it for this tick only.
+	job := &tickJob{now: s.cfg.now(), trc: t}
+	var wg sync.WaitGroup
+	for w := 1; w < s.cfg.TickWorkers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			s.runSweep(job, w)
+		}()
 	}
+	s.runSweep(job, 0)
+	wg.Wait()
 	if s.hist != nil {
 		// Age out history of idle and closed sessions too — appends
 		// only sweep the series they touch.
 		sw := t.StartSpan(tracing.NoSpan, "tsdb.sweep")
-		evicted := s.hist.Sweep(now)
-		if t != nil {
-			t.AnnotateInt(sw, "evicted", evicted)
-			t.EndSpan(sw)
-		}
+		evicted := s.hist.Sweep(job.now)
+		t.AnnotateInt(sw, "evicted", evicted)
+		t.EndSpan(sw)
 	}
 	s.trc.Finish(t)
 }
 
-// appendHistory records one tick row, through the WAL when history is
-// durable (write-ahead: the row hits the journal before the store) and
-// directly into the store otherwise.
-func (s *Server) appendHistory(session uint64, ts int64, events []string, vals []int64) {
+// appendHistory records one row synchronously: through the WAL when
+// history is durable — a one-row AppendRows batch, written ahead of
+// the store and, under -fsync always, fsynced before it returns, so a
+// PUBLISH ack implies the row is durable — and directly into the
+// store otherwise.
+func (s *Server) appendHistory(row wal.Row) {
 	switch {
 	case s.wal != nil:
-		s.wal.AppendBatch(session, ts, events, vals)
+		s.wal.AppendRows([]wal.Row{row})
 	case s.hist != nil:
-		s.hist.AppendBatch(session, ts, events, vals)
+		s.hist.AppendBatch(row.Session, row.TS, row.Events, row.Vals)
 	}
 }

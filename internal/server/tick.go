@@ -1,16 +1,19 @@
-// Parallel tick pipeline (DESIGN.md S31). Two independent pieces live
-// here:
+// Tick pipeline (DESIGN.md S31): one path from the tick to the
+// journal, in two pieces.
 //
-//   - the sharded parallel sweep — the per-tick walk over the session
-//     registry partitioned across a fixed pool of workers
-//     (Config.TickWorkers), each running the full per-session unit
-//     (snapshot → history → derive → encode → fan-out) for the
-//     sessions of the shards it claims;
-//   - the async WAL handoff — on a durable server, tick rows go to a
+//   - The sweep. Each tick partitions the session registry's shards
+//     across Config.TickWorkers goroutines — the tick goroutine plus
+//     TickWorkers-1 helpers spawned for that tick and joined before it
+//     ends — each running the full per-session unit (snapshot →
+//     history → derive → encode → fan-out) for the sessions of the
+//     shards it claims. TickWorkers 1 is the same sweep without
+//     helpers.
+//   - The async WAL handoff. On a durable server, tick rows go to a
 //     bounded queue drained by one dedicated appender goroutine that
-//     batches each drain into a single wal.AppendRows call, taking
-//     journal writes (and under -fsync always, fsyncs) off the tick's
-//     critical path.
+//     journals each drain as a single wal.AppendRowsTraced batch,
+//     taking journal writes (and under -fsync always, fsyncs) off the
+//     tick's critical path. PUBLISH journals its row synchronously
+//     through the same call, as a one-row batch (appendHistory).
 //
 // Why partitioning by shard is enough for correctness: every ordering
 // guarantee the fan-out makes is per-session (per-subscriber seq
@@ -38,7 +41,6 @@ import (
 type tickJob struct {
 	now    int64
 	cursor atomic.Int64
-	wg     sync.WaitGroup
 	// trc is the tick's trace (nil untraced). Workers hang one "shard"
 	// span per claimed shard off its root; the Trace is internally
 	// locked, so concurrent workers append safely.
@@ -60,200 +62,131 @@ func (s *Server) runSweep(job *tickJob, worker int) {
 		swept := s.reg.sweepShard(int(i), func(sess *session) {
 			s.tickSession(sess, job.now, job.trc, sp)
 		})
-		if job.trc != nil {
-			job.trc.AnnotateInt(sp, "shard", i)
-			job.trc.AnnotateInt(sp, "worker", int64(worker))
-			job.trc.AnnotateInt(sp, "sessions", int64(swept))
-			job.trc.EndSpan(sp)
-		}
+		job.trc.AnnotateInt(sp, "shard", i)
+		job.trc.AnnotateInt(sp, "worker", int64(worker))
+		job.trc.AnnotateInt(sp, "sessions", int64(swept))
+		job.trc.EndSpan(sp)
 	}
-}
-
-// tickWorker is one pool worker, started by Serve: it waits for tick
-// jobs and helps sweep them, exiting on shutdown. A worker that has
-// taken a job always finishes it before re-checking the context, so a
-// tick's WaitGroup cannot be left hanging by a racing cancel.
-func (s *Server) tickWorker(worker int) {
-	defer s.wg.Done()
-	for {
-		select {
-		case <-s.ctx.Done():
-			return
-		case job := <-s.tickWork:
-			s.runSweep(job, worker)
-			job.wg.Done()
-		}
-	}
-}
-
-// tickParallel sweeps the registry with TickWorkers-wide parallelism.
-// The tick goroutine always participates as worker zero; up to
-// TickWorkers-1 pool workers join via the unbuffered handoff channel.
-// A helper slot whose pool worker is not immediately ready — or the
-// pool is not running at all, as when tests and benchmarks drive
-// tick() directly without Serve — is filled by an ephemeral goroutine,
-// so the sweep width is TickWorkers either way.
-func (s *Server) tickParallel(now int64, t *tracing.Trace) {
-	job := &tickJob{now: now, trc: t}
-	helpers := s.cfg.TickWorkers - 1
-	job.wg.Add(helpers)
-	for i := 0; i < helpers; i++ {
-		select {
-		case s.tickWork <- job:
-		default:
-			// Worker IDs only label trace spans; an ephemeral helper
-			// reuses its slot number (i+1), which can collide with a
-			// pool worker's spawn index — two tracks sharing a lane in
-			// the export, never a correctness issue.
-			go func(worker int) {
-				defer job.wg.Done()
-				s.runSweep(job, worker)
-			}(i + 1)
-		}
-	}
-	s.runSweep(job, 0)
-	job.wg.Wait()
 }
 
 // tickSession is the per-session tick unit: snapshot → history append
-// → snapshot fan-out → derived fan-out. It is the loop body of both
-// the serial sweep (TickWorkers 1, exactly the pre-parallel pipeline)
-// and each parallel worker.
+// → snapshot fan-out → derived fan-out.
 //
-// Stage spans are recorded only on detailed (head-sampled) traces:
-// with thousands of sessions, per-session spans on every
-// tail-candidate tick would dwarf the work they measure. Coarse
-// shard spans (runSweep) and the WAL-stall error mark stay
-// unconditional.
+// Stage spans go to d, which is the tick's trace only when it was
+// head-sampled: with thousands of sessions, per-session spans on every
+// tail-candidate tick would dwarf the work they measure. The coarse
+// shard span (parent), the WAL-stall error mark and a fired derive
+// alert still reach the tick's trace t on every traced tick.
 func (s *Server) tickSession(sess *session, now int64, t *tracing.Trace, parent tracing.SpanRef) {
-	if !t.Detailed() {
-		resp, subs, ok := sess.snapshot()
-		if !ok {
-			return
-		}
-		s.appendTickHistory(t, resp.Session, now, resp.Events, resp.Values)
-		s.fanout(t, parent, sess, resp, subs)
-		s.fanoutDerived(t, parent, sess, resp, subs, now)
-		return
-	}
-	ss := t.StartSpan(parent, "session")
-	t.AnnotateInt(ss, "session", int64(sess.id))
-	sp := t.StartSpan(ss, "snapshot")
+	d := t.Detail()
+	ss := d.StartSpan(parent, "session")
+	d.AnnotateInt(ss, "session", int64(sess.id))
+	sp := d.StartSpan(ss, "snapshot")
 	resp, subs, ok := sess.snapshot()
-	t.EndSpan(sp)
-	if !ok {
-		t.EndSpan(ss)
-		return
+	d.EndSpan(sp)
+	if ok {
+		hs := d.StartSpan(ss, "tsdb.append")
+		s.appendTickHistory(t, wal.Row{Session: resp.Session, TS: now,
+			Events: resp.Events, Vals: resp.Values})
+		d.EndSpan(hs)
+		fs := d.StartSpan(ss, "fanout")
+		d.AnnotateInt(fs, "subs", int64(len(subs)))
+		s.fanout(t, fs, sess, resp, subs)
+		d.EndSpan(fs)
+		// An alert annotates the derive span, or the shard span when
+		// the tick is not traced in detail.
+		ds := parent
+		if d != nil {
+			ds = d.StartSpan(ss, "derive")
+		}
+		s.fanoutDerived(t, ds, sess, resp, subs, now)
+		d.EndSpan(ds)
 	}
-	hs := t.StartSpan(ss, "tsdb.append")
-	s.appendTickHistory(t, resp.Session, now, resp.Events, resp.Values)
-	t.EndSpan(hs)
-	fs := t.StartSpan(ss, "fanout")
-	t.AnnotateInt(fs, "subs", int64(len(subs)))
-	s.fanout(t, fs, sess, resp, subs)
-	t.EndSpan(fs)
-	ds := t.StartSpan(ss, "derive")
-	s.fanoutDerived(t, ds, sess, resp, subs, now)
-	t.EndSpan(ds)
-	t.EndSpan(ss)
+	d.EndSpan(ss)
 }
 
-// histRow is one tick row in flight to the WAL appender. Both slices
-// are safe to retain past the tick: Events is the session's
-// copy-on-write name slice and Vals the tick's freshly allocated
-// snapshot values — nothing reuses either after the handoff.
-type histRow struct {
-	session uint64
-	ts      int64
-	events  []string
-	vals    []int64
-}
+// walQueueRows bounds the async WAL handoff queue and each batch the
+// appender drains from it: one tick's rows for 256 sessions, so a disk
+// that keeps pace with the tick never stalls it, while a disk that
+// falls behind holds back at most this many unjournaled rows.
+const walQueueRows = 256
 
 // appendTickHistory records one tick row. On a durable server with the
 // appender running, the row goes to the bounded handoff queue and the
 // journal write leaves the tick's critical path; a full queue blocks
 // the tick (counted in tick_stalls) rather than dropping the row —
-// backpressure, never silent data loss. PUBLISH rows and non-durable
-// history keep the synchronous path: a PUBLISH ack must continue to
-// imply the row was journaled, and RAM-only appends are too cheap to
-// be worth a queue.
-func (s *Server) appendTickHistory(t *tracing.Trace, session uint64, ts int64, events []string, vals []int64) {
-	if s.histOn.Load() {
-		row := histRow{session: session, ts: ts, events: events, vals: vals}
-		select {
-		case s.histCh <- row:
-			return
-		default:
-		}
-		s.m.tickStalls.Inc()
-		// A stall marks the tick's trace as errored, so the flight
-		// recorder always keeps the evidence of a disk that cannot keep
-		// up — the span measures exactly the blocked handoff.
-		sp := t.StartSpan(tracing.NoSpan, "wal.stall")
-		s.histCh <- row
-		if t != nil {
-			t.EndSpan(sp)
-			t.SetError("tick stalled on full WAL handoff queue")
-		}
+// backpressure, never silent data loss. The queued row's slices are
+// safe to retain past the tick: Events is the session's copy-on-write
+// name slice and Vals the tick's freshly allocated snapshot values.
+// Otherwise the row takes appendHistory's synchronous path.
+func (s *Server) appendTickHistory(t *tracing.Trace, row wal.Row) {
+	if !s.histOn.Load() {
+		s.appendHistory(row)
 		return
 	}
-	s.appendHistory(session, ts, events, vals)
+	select {
+	case s.histCh <- row:
+		return
+	default:
+	}
+	s.m.tickStalls.Inc()
+	// A stall marks the tick's trace as errored, so the flight recorder
+	// always keeps the evidence of a disk that cannot keep up — the
+	// span measures exactly the blocked handoff.
+	sp := t.StartSpan(tracing.NoSpan, "wal.stall")
+	s.histCh <- row
+	t.EndSpan(sp)
+	t.SetError("tick stalled on full WAL handoff queue")
 }
-
-// histBatchMax bounds how many rows one appender drain coalesces into
-// a single wal.AppendRows call.
-const histBatchMax = 256
 
 // histLoop is the dedicated WAL appender: it drains the handoff queue,
 // coalescing every immediately available row into one batched
-// AppendRows call — one WAL lock acquisition and (under -fsync always)
-// one fsync per drained batch, which in steady state is one tick's
-// rows. Write-ahead ordering relative to seal/truncate is untouched:
-// batching sits above wal.Log, and inside AppendRows every row still
-// hits the journal before the store sees it. A WAL write failure
-// degrades exactly as the synchronous path did — that row stays
-// RAM-only, counted and logged by the WAL itself.
+// AppendRowsTraced call — one WAL lock acquisition and (under -fsync
+// always) one fsync per drained batch, which in steady state is one
+// tick's rows. Write-ahead ordering relative to seal/truncate is
+// untouched: batching sits above wal.Log, and inside the call every
+// row still hits the journal before the store sees it. A WAL write
+// failure leaves that row RAM-only, counted and logged by the WAL
+// itself.
 //
 // Shutdown protocol: Shutdown closes histQuit only after the tick loop
-// and workers have joined, so no new rows can arrive; histLoop then
-// drains what is queued, journals it, and closes histDone — the signal
-// that wal.Close may run without abandoning acked-to-the-queue rows.
+// has joined, so no new rows can arrive; histLoop then journals what
+// is still queued in batches of the same shape and closes histDone —
+// the signal that wal.Close may run without abandoning
+// acked-to-the-queue rows.
 func (s *Server) histLoop() {
 	defer close(s.histDone)
-	batch := make([]wal.Row, 0, histBatchMax)
+	batch := make([]wal.Row, 0, walQueueRows)
+	quit := false
 	for {
-		var row histRow
-		select {
-		case row = <-s.histCh:
-		case <-s.histQuit:
-			s.histOn.Store(false)
-			for {
-				select {
-				case row = <-s.histCh:
-					s.wal.AppendBatch(row.session, row.ts, row.events, row.vals)
-				default:
-					return
-				}
+		batch = batch[:0]
+		if !quit {
+			select {
+			case row := <-s.histCh:
+				batch = append(batch, row)
+			case <-s.histQuit:
+				s.histOn.Store(false)
+				quit = true
 			}
 		}
-		batch = append(batch[:0], wal.Row{Session: row.session, TS: row.ts,
-			Events: row.events, Vals: row.vals})
-		for len(batch) < histBatchMax {
+	drain:
+		for len(batch) < walQueueRows {
 			select {
-			case row = <-s.histCh:
-				batch = append(batch, wal.Row{Session: row.session, TS: row.ts,
-					Events: row.events, Vals: row.vals})
-				continue
+			case row := <-s.histCh:
+				batch = append(batch, row)
 			default:
+				break drain
 			}
-			break
+		}
+		if len(batch) == 0 {
+			return // quitting, and the queue is empty
 		}
 		// Each drained batch is its own traced unit ("wal" kind): the
 		// journal-write and fsync spans live inside AppendRowsTraced,
 		// and a write error tail-retains the batch's trace.
 		t := s.trc.Start("wal", "wal.batch")
 		t.AnnotateInt(tracing.NoSpan, "rows", int64(len(batch)))
-		if err := s.wal.AppendRowsTraced(batch, t); err != nil && t != nil {
+		if err := s.wal.AppendRowsTraced(batch, t); err != nil {
 			t.SetError(err.Error())
 		}
 		s.trc.Finish(t)

@@ -1,6 +1,7 @@
 package server
 
 import (
+	"context"
 	"fmt"
 	"net/http/httptest"
 	"strings"
@@ -45,16 +46,26 @@ func TestTraceSlowOpRetained(t *testing.T) {
 	}
 	id := tracing.FormatID(resp.TraceID)
 
-	mu.Lock()
-	warned := false
-	for _, l := range lines {
-		if strings.Contains(l, "slow op") && strings.Contains(l, "trace="+id) {
-			warned = true
+	// The server logs the warn line after it enqueues the reply, so
+	// the client can read the reply first; poll briefly, as waitTrace
+	// does for the ring insert.
+	warned := func() bool {
+		mu.Lock()
+		defer mu.Unlock()
+		for _, l := range lines {
+			if strings.Contains(l, "slow op") && strings.Contains(l, "trace="+id) {
+				return true
+			}
 		}
+		return false
 	}
-	mu.Unlock()
-	if !warned {
+	for i := 0; i < 200 && !warned(); i++ {
+		time.Sleep(5 * time.Millisecond)
+	}
+	if !warned() {
+		mu.Lock()
 		t.Errorf("no slow-op warn line carrying trace=%s in %q", id, lines)
+		mu.Unlock()
 	}
 
 	// The writer finishes the trace around flushing the frame, so the
@@ -225,6 +236,55 @@ func TestTraceTickStructure(t *testing.T) {
 	}
 	if sessions != 3 {
 		t.Errorf("%d session spans, want 3", sessions)
+	}
+}
+
+// TestTraceTickDeriveAlert: a threshold alert fired during a tick
+// errors the tick's trace, so the recorder keeps it, and annotates the
+// span enclosing the derive evaluation: the per-session "derive" span
+// on a head-sampled tick, the "shard" span on any other traced tick.
+func TestTraceTickDeriveAlert(t *testing.T) {
+	for _, tc := range []struct {
+		sample   int
+		wantSpan string
+	}{{1, "derive"}, {1 << 30, "shard"}} {
+		srv := New(Config{TickInterval: time.Hour, TickWorkers: 1,
+			TraceSample: tc.sample, TraceSlow: -1,
+			Groups: []string{"ipc"}, DeriveRules: []string{"ipc>0.01:1"}})
+		defer srv.Shutdown(context.Background())
+		created := srv.dispatch(nil, &wire.Request{Op: wire.OpCreate, Platform: "aix-power3",
+			Events: []string{"PAPI_TOT_INS", "PAPI_TOT_CYC"}, Workload: "dot", N: 64})
+		if !created.OK {
+			t.Fatal(created.Error)
+		}
+		if resp := srv.dispatch(nil, &wire.Request{Op: wire.OpStart,
+			Session: created.Session}); !resp.OK {
+			t.Fatal(resp.Error)
+		}
+		for i := 0; i < 3; i++ {
+			srv.tick()
+		}
+		var alerted *tracing.TraceView
+		for _, tr := range srv.trc.Snapshot() {
+			if v := tr.View(); v.Kind == "tick" && strings.Contains(v.Err, "derive") {
+				alerted = &v
+				break
+			}
+		}
+		if alerted == nil {
+			t.Fatalf("sample 1/%d: no tick trace errored by a derive alert", tc.sample)
+		}
+		var annotated []string
+		for _, sp := range alerted.Spans {
+			for _, a := range sp.Attrs {
+				if a.Key == "alerts" {
+					annotated = append(annotated, sp.Name)
+				}
+			}
+		}
+		if len(annotated) != 1 || annotated[0] != tc.wantSpan {
+			t.Errorf("sample 1/%d: alerts annotated on %v, want [%s]", tc.sample, annotated, tc.wantSpan)
+		}
 	}
 }
 

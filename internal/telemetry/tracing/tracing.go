@@ -106,6 +106,16 @@ func (t *Trace) ID() uint64 {
 // unconditionally so tail-retained slow traces still show structure.
 func (t *Trace) Detailed() bool { return t != nil && t.sampled }
 
+// Detail returns t when it was head-sampled and nil otherwise, so a
+// call site can record its high-cardinality spans on the result
+// without a branch: every method on the nil trace is a no-op.
+func (t *Trace) Detail() *Trace {
+	if t.Detailed() {
+		return t
+	}
+	return nil
+}
+
 // SetName renames the trace's unit (the request op becomes known only
 // after decode).
 func (t *Trace) SetName(name string) {

@@ -216,13 +216,6 @@ func (s *Store) appendLocked(sh *storeShard, key SeriesKey, ts, v int64, seq uin
 	return delta, evicted
 }
 
-// AppendRow records one timestamp's values for several events of one
-// session — papid's per-tick shape. It is AppendBatch under its
-// historical name.
-func (s *Store) AppendRow(session uint64, ts int64, events []string, vals []int64) {
-	s.AppendBatch(session, ts, events, vals)
-}
-
 // AppendBatch records one timestamp's values for several events of one
 // session, taking each touched shard's lock exactly once instead of
 // once per (session, event) — papid's tick loop appends every running

@@ -32,7 +32,7 @@ func BenchmarkWALAppend(b *testing.B) {
 				for j := range vals {
 					vals[j] += int64(j) + 5000
 				}
-				if err := l.AppendBatch(1, ts, events, vals); err != nil {
+				if err := l.AppendRows([]Row{{Session: 1, TS: ts, Events: events, Vals: vals}}); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -68,7 +68,7 @@ func BenchmarkReplay(b *testing.B) {
 		for j := range vals {
 			vals[j] += int64(j) + 5000
 		}
-		if err := l.AppendBatch(1, int64(i)*10_000, events, vals); err != nil {
+		if err := l.AppendRows([]Row{{Session: 1, TS: int64(i) * 10_000, Events: events, Vals: vals}}); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -165,11 +165,11 @@ type Log struct {
 	opts  Options
 	store *tsdb.Store
 
-	// mu serializes WAL appends end-to-end, including the store append
-	// inside AppendBatch — row sequence order is store insertion order,
-	// which replay relies on. Lock order: mu → stateMu, mu → segMu,
-	// mu → store shard locks; segMu → shard locks (Remap, compaction);
-	// stateMu is a leaf.
+	// mu serializes WAL appends end-to-end, including the store
+	// appends inside AppendRowsTraced — row sequence order is store
+	// insertion order, which replay relies on. Lock order: mu →
+	// stateMu, mu → segMu, mu → store shard locks; segMu → shard locks
+	// (Remap, compaction); stateMu is a leaf.
 	mu       sync.Mutex
 	wf       *os.File
 	wwr      io.Writer // wf, possibly wrapped by opts.wrapWAL
@@ -385,54 +385,8 @@ func sortWALMetas(ms []walFileMeta) {
 	}
 }
 
-// AppendBatch journals one tick row and applies it to the store. The
-// WAL write happens first (write-ahead); the store append runs under
-// the same lock so sequence order equals store insertion order. A WAL
-// write failure degrades to RAM-only for that row — availability over
-// durability — and is counted and logged.
-func (l *Log) AppendBatch(session uint64, ts int64, events []string, vals []int64) error {
-	if len(events) > len(vals) {
-		events = events[:len(vals)]
-	}
-	if len(events) == 0 {
-		return nil
-	}
-	if l.closed.Load() {
-		return ErrClosed
-	}
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	l.lastSeq++
-	seq := l.lastSeq
-	payload := appendRow(l.scratch[:0], seq, session, ts, events, vals)
-	rec := appendFrame(payload[len(payload):], payload)
-	l.scratch = payload[:0]
-	var werr error
-	if l.wf != nil {
-		if _, werr = l.wwr.Write(rec); werr == nil {
-			l.wfBytes += int64(len(rec))
-			l.wfMaxSeq = seq
-			l.rows.Add(1)
-			if l.opts.Fsync == FsyncAlways {
-				l.fsyncWALLocked()
-			} else {
-				l.walDirty = true
-			}
-		} else {
-			l.writeErrs.Add(1)
-			l.logger.Error("wal append failed; row is RAM-only", "err", werr, "seq", seq)
-		}
-	}
-	l.noteRows(session, ts, events, seq)
-	l.store.AppendBatchSeq(session, ts, events, vals, seq)
-	if l.wf != nil && werr == nil && l.wfBytes >= l.opts.SegmentBytes {
-		l.rotateWALLocked()
-	}
-	return werr
-}
-
-// Row is one tick row for AppendRows: the (session, timestamp, events,
-// values) tuple AppendBatch takes as arguments.
+// Row is one tick row for AppendRows: a session's values for its
+// events at one timestamp.
 type Row struct {
 	Session uint64
 	TS      int64
@@ -440,20 +394,20 @@ type Row struct {
 	Vals    []int64
 }
 
-// AppendRows journals a batch of tick rows under one lock acquisition
-// and — under FsyncAlways — at most one fsync for the whole batch,
-// instead of one per row. papid's async WAL appender drains its
-// handoff queue through here so one tick's rows cost one lock/fsync
-// round regardless of session count. Semantics match len(rows)
-// sequential AppendBatch calls: every row hits the journal before the
-// store sees it (write-ahead order, which is also what keeps
-// seal/truncate bookkeeping honest — a row is journaled before any
-// seal it lands in can mark it covered), a failed journal write leaves
-// exactly that row RAM-only (counted and logged), and the first write
-// error is returned. The only divergence is fsync timing: rows early
-// in a batch are synced with the batch, not individually — acceptable
-// because tick rows are never acked to a client, unlike PUBLISH rows,
-// which keep using AppendBatch's per-row sync.
+// AppendRows journals a batch of rows and applies them to the store,
+// under one lock acquisition and — under FsyncAlways — one fsync for
+// the whole batch, which covers every row before AppendRows returns.
+// papid journals everything through here: its async WAL appender one
+// drained batch at a time, PUBLISH one row at a time (so under -fsync
+// always the ack implies the row was fsynced). Every row hits the
+// journal before the store sees it (write-ahead order, which is also
+// what keeps seal/truncate bookkeeping honest — a row is journaled
+// before any seal it lands in can mark it covered); the store append
+// runs under the same lock, so sequence order is store insertion
+// order. A failed journal write degrades to RAM-only for exactly that
+// row — availability over durability — counted and logged, and the
+// first write error is returned. Events beyond a row's values are
+// ignored.
 func (l *Log) AppendRows(rows []Row) error { return l.AppendRowsTraced(rows, nil) }
 
 // AppendRowsTraced is AppendRows with flight-recorder spans: a
@@ -499,13 +453,11 @@ func (l *Log) AppendRowsTraced(rows []Row, t *tracing.Trace) error {
 				}
 			}
 		}
-		l.noteRows(r.Session, r.TS, events, seq)
+		l.noteRows(r.Session, events, seq)
 		l.store.AppendBatchSeq(r.Session, r.TS, events, vals, seq)
 	}
-	if t != nil {
-		t.AnnotateInt(sp, "rows", int64(len(rows)))
-		t.EndSpan(sp)
-	}
+	t.AnnotateInt(sp, "rows", int64(len(rows)))
+	t.EndSpan(sp)
 	if wrote {
 		if l.opts.Fsync == FsyncAlways {
 			fs := t.StartSpan(tracing.NoSpan, "wal.fsync")
@@ -522,7 +474,7 @@ func (l *Log) AppendRowsTraced(rows []Row, t *tracing.Trace) error {
 }
 
 // noteRows updates per-series pins before the store append.
-func (l *Log) noteRows(session uint64, ts int64, events []string, seq uint64) {
+func (l *Log) noteRows(session uint64, events []string, seq uint64) {
 	l.stateMu.Lock()
 	for _, ev := range events {
 		key := tsdb.SeriesKey{Session: session, Event: ev}
@@ -537,7 +489,6 @@ func (l *Log) noteRows(session uint64, ts int64, events []string, seq uint64) {
 		}
 	}
 	l.stateMu.Unlock()
-	_ = ts
 }
 
 // maxPending bounds the segment-write retry queue. Beyond it, newly

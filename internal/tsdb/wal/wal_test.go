@@ -53,8 +53,8 @@ func appendTicks(t *testing.T, l *Log, session uint64, events []string, n int, s
 		for j := range events {
 			vals[j] = int64(i)*10 + int64(j) // monotone-ish counters
 		}
-		if err := l.AppendBatch(session, ts, events, vals); err != nil {
-			t.Fatalf("AppendBatch tick %d: %v", i, err)
+		if err := l.AppendRows([]Row{{Session: session, TS: ts, Events: events, Vals: vals}}); err != nil {
+			t.Fatalf("AppendRows tick %d: %v", i, err)
 		}
 	}
 }
@@ -211,7 +211,7 @@ func TestFailingWriterDegradesAndRecovers(t *testing.T) {
 	l, store, _ := openPair(t, dir, opts, tsdb.Config{BlockSamples: 1 << 20})
 	sawErr := false
 	for i := 0; i < 200; i++ {
-		err := l.AppendBatch(9, int64(i)*1_000_000, events, []int64{int64(i)})
+		err := l.AppendRows([]Row{{Session: 9, TS: int64(i) * 1_000_000, Events: events, Vals: []int64{int64(i)}}})
 		if err != nil && errors.Is(err, errInjected) {
 			sawErr = true
 		}

@@ -26,8 +26,12 @@ go -C papidbench test ./...
 # subscription-goroutine tests ride along: both pin properties of the
 # one-queue-per-connection fan-out the chaos peers stress. The STATS
 # golden and one-declaration agreement tests ride along too: they read
-# counters while writer goroutines and the WAL fsync loop still run.
-go test -race -timeout 2m -run 'TestChaos|TestDoTimeout|TestReconn|TestDialRetry|TestFanoutLedgerConservation|TestSubscribeAddsNoGoroutines|TestStatsGolden|TestStatsAgreeWithMetrics' -count=2 ./internal/server/
+# counters while writer goroutines and the WAL fsync loop still run. So
+# do the tick-to-journal tests: the 1-vs-8-worker sweep equivalence,
+# the async WAL handoff and its shutdown drain, the per-ack fsync of
+# PUBLISH under -fsync always, and the slow-op warn line that is
+# logged after its reply is enqueued.
+go test -race -timeout 2m -run 'TestChaos|TestDoTimeout|TestReconn|TestDialRetry|TestFanoutLedgerConservation|TestSubscribeAddsNoGoroutines|TestStatsGolden|TestStatsAgreeWithMetrics|TestParallelSerialEquivalence|TestAsyncWALHandoffDurable|TestTraceSlowOpRetained|TestDurablePublishAckIsFsynced' -count=2 ./internal/server/
 # One-iteration benchmark smoke: catches benchmarks that no longer
 # compile or crash, without paying for a real measurement run.
 go test -run='^$' -bench=. -benchtime=1x ./...
